@@ -1,0 +1,72 @@
+"""Guided planning returns the frozen eager ranking, prefix for prefix.
+
+The fixtures under ``tests/fixtures/rankings/`` were generated from the
+eager path (see :mod:`tests.optimizer.spaces`).  ``search="guided"`` must
+return exactly their first ``top_k`` entries — same plan, bit-equal cost,
+same physical plan — cold, when re-planning over a memo that was
+invalidated after a hint change, and through ``Optimizer(jobs=4)``.
+"""
+
+import pytest
+
+from repro.core.operators import UdfOperator
+from repro.core.plan import body as plan_body, iter_nodes
+from repro.optimizer import Hints
+from tests.optimizer.spaces import SPACE_NAMES, entry, frozen, space
+
+TOP_KS = (1, 3, 10)
+
+
+def prefix(name, k):
+    return frozen(name)["ranking"][:k]
+
+
+def changed_hint(sp):
+    """One UDF operator of the space and a hint that moves its estimates."""
+    op = next(
+        n.op.name
+        for n in iter_nodes(plan_body(sp.plan))
+        if isinstance(n.op, UdfOperator)
+    )
+    return op, Hints(selectivity=0.05, cpu_per_call=3.0)
+
+
+@pytest.mark.parametrize("name", [n for n in SPACE_NAMES if n != "stress"])
+def test_eager_ranking_matches_fixture(name):
+    """The fixtures are current: eager still produces them, in full."""
+    sp = space(name)
+    result = sp.optimizer().optimize(sp.plan)
+    assert result.plan_count == frozen(name)["plan_count"]
+    assert [entry(p) for p in result.ranked] == frozen(name)["ranking"]
+
+
+@pytest.mark.parametrize("k", TOP_KS)
+@pytest.mark.parametrize("name", SPACE_NAMES)
+def test_guided_cold_matches_fixture_prefix(name, k):
+    sp = space(name)
+    result = sp.optimizer(search="guided", top_k=k).optimize(sp.plan)
+    assert [entry(p) for p in result.ranked] == prefix(name, k)
+    assert result.search_stats.expanded == frozen(name)["plan_count"]
+
+
+@pytest.mark.parametrize("k", TOP_KS)
+@pytest.mark.parametrize("name", SPACE_NAMES)
+def test_guided_replan_after_invalidate_matches_fixture_prefix(name, k):
+    """Plan under a changed hint, change it back, invalidate, re-plan."""
+    sp = space(name)
+    op, hint = changed_hint(sp)
+    optimizer = sp.optimizer(
+        hints={**sp.hints, op: hint}, search="guided", top_k=k
+    )
+    memo = optimizer.new_memo()
+    optimizer.optimize(sp.plan, memo=memo)
+    optimizer.hints = sp.hints
+    result = optimizer.reoptimize(sp.plan, memo, (op,))
+    assert [entry(p) for p in result.ranked] == prefix(name, k)
+
+
+@pytest.mark.parametrize("name", SPACE_NAMES)
+def test_guided_with_jobs_matches_fixture_prefix(name):
+    sp = space(name)
+    result = sp.optimizer(search="guided", top_k=3, jobs=4).optimize(sp.plan)
+    assert [entry(p) for p in result.ranked] == prefix(name, 3)
