@@ -125,7 +125,10 @@ class CardinalityEstimator:
         attrs = self.ctx.out_attrs(node)
         width = self._width_cache.get(attrs)
         if width is None:
-            width = sum(self.catalog.attr_width(a) for a in attrs) + 2.0 * len(attrs)
+            # fsum: a set iterates in string-hash-seed order; a plain sum
+            # would make the last bits of every cost vary run to run.
+            width = math.fsum(self.catalog.attr_width(a) for a in attrs)
+            width += 2.0 * len(attrs)
             self._width_cache[attrs] = width
         return width
 
