@@ -25,26 +25,11 @@ import time
 
 from conftest import write_result
 
-from repro.core import (
-    AnnotationMode,
-    Catalog,
-    EmitBounds,
-    FieldMap,
-    FieldSet,
-    MapOp,
-    MatchOp,
-    Sink,
-    Source,
-    SourceStats,
-    UdfProperties,
-    binary_udf,
-    map_udf,
-    node,
-    prefixed,
-)
-from repro.core.plan import Node, signature
+from repro.core import AnnotationMode
+from repro.core.plan import signature
 from repro.optimizer import Hints, Optimizer
 from repro.optimizer import parallel
+from repro.workloads.stress import build_stress
 
 REPS = 5
 
@@ -56,67 +41,6 @@ def assert_plans_identical(got, want):
         assert signature(g.body) == signature(w.body)
         assert g.cost == w.cost  # exact float equality
         assert g.physical.describe() == w.physical.describe()
-
-
-# -- stress plan space for the scaling measurement ----------------------------
-
-
-def _concat_udf(left, right, out):
-    out.emit(left.concat(right))
-
-
-def _passthrough(rec, out):
-    out.emit(rec.copy())
-
-
-def build_stress(joins=7, filters=2):
-    """A chained-join starflake: joins cannot commute with each other
-    (each keys on the previous dimension's output attribute), while the
-    fact-side filters commute freely and push through the whole chain —
-    a deep plan space whose per-entry costing is dominated by the
-    binary branch-and-bound, i.e. compute-bound costing."""
-    fact_attrs = prefixed("f", "k0", *[f"x{i}" for i in range(filters)])
-    flow = node(Source("fact", fact_attrs))
-    cur = fact_attrs
-    catalog = Catalog()
-    catalog.add_source("fact", SourceStats(row_count=2_000_000))
-    hints = {}
-    for j in range(filters):
-        props = UdfProperties(
-            reads=FieldSet.of((0, 1 + j)),
-            branch_reads=FieldSet.of((0, 1 + j)),
-            emit_bounds=EmitBounds.at_most_one(),
-        )
-        flow = node(
-            MapOp(f"sigma_{j}", map_udf(_passthrough, props), FieldMap(cur)),
-            flow,
-        )
-        hints[f"sigma_{j}"] = Hints(
-            selectivity=0.1 + 0.2 * j, cpu_per_call=1.0 + 0.5 * j
-        )
-    key_pos = 0
-    for i in range(joins):
-        dim_attrs = prefixed(f"d{i}", "k", "next")
-        catalog.add_source(f"dim{i}", SourceStats(row_count=10_000 * (i + 1)))
-        props = UdfProperties(
-            reads=FieldSet.of((0, key_pos), (1, 0)),
-            emit_bounds=EmitBounds.at_most_one(),
-        )
-        join = MatchOp(
-            f"join_{i}",
-            binary_udf(_concat_udf, props),
-            FieldMap(cur),
-            FieldMap(dim_attrs),
-            (key_pos,),
-            (0,),
-        )
-        flow = node(join, flow, node(Source(f"dim{i}", dim_attrs)))
-        cur = cur + dim_attrs
-        key_pos = len(cur) - 1
-        hints[f"join_{i}"] = Hints(
-            cpu_per_call=1.0, distinct_keys=10_000 * (i + 1)
-        )
-    return Node(Sink("sink_stress"), (flow,)), catalog, hints
 
 
 # -- measurements -------------------------------------------------------------

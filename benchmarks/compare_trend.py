@@ -88,14 +88,6 @@ HEADLINES: dict[str, Headline] = {
         True,
         "contended 4-writer sqlite ingests/sec vs curated floor",
     ),
-    # Guided-vs-eager median cold planning latency on the 6864-alt
-    # stress space: machine-relative ratio (the bench also hard-asserts
-    # the >= 5x estimate-call and latency floors on every run).
-    "plan_latency.json": Headline(
-        ("median_speedup",),
-        True,
-        "eager/guided median planning latency, stress space",
-    ),
     # Live-tracer wall over untraced wall (1.0 = tracing is free):
     # machine-relative ratio, lower is better.
     "trace_overhead.json": Headline(

@@ -120,8 +120,8 @@ def run_experiment(
     across a fork-based worker pool; records, per-op metrics, and modeled
     seconds are bit-identical to serial execution.
 
-    ``search="guided"`` plans with the best-first, cost-guided search:
-    only the top ``top_k`` plans (default 1) are produced — bit-identical
+    ``search="guided"`` plans over the optimizer's group memo: only the
+    top ``top_k`` plans (default 1) are produced — bit-identical
     to the eager prefix — so the rank-interval pick protocol degenerates
     to executing that guaranteed prefix.  Guided search is for the
     serving path; the experiment protocols that need the full ranking

@@ -376,18 +376,18 @@ def build_parser() -> argparse.ArgumentParser:
                 choices=("eager", "guided"),
                 default="eager",
                 help="plan search strategy: 'eager' costs every enumerated "
-                "alternative and ranks them all; 'guided' runs the "
-                "best-first, cost-guided search that costs only frontier "
-                "heads and returns the top --top-k plans (bit-identical "
-                "to the eager prefix)",
+                "alternative and ranks them all; 'guided' plans over the "
+                "group memo (equivalent sub-flows explored and costed once) "
+                "and returns the top --top-k plans (bit-identical to the "
+                "eager prefix)",
             )
             p.add_argument(
                 "--top-k",
                 type=_positive_int,
                 default=None,
                 metavar="K",
-                help="number of top-ranked plans to produce (guided search "
-                "proves exactly this many; eager ranks everything then "
+                help="number of top-ranked plans to produce (guided "
+                "extracts exactly this many; eager ranks everything then "
                 "trims). Default: 1 under --search guided, unlimited "
                 "under eager",
             )

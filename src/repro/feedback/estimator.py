@@ -73,6 +73,7 @@ class FeedbackEstimator(CardinalityEstimator):
         base = hints or {}
         super().__init__(ctx, merge_hints(base, self.store.learned_hints()))
         self.base_hints = base
+        self._observations: dict[Node, object] = {}
         self._source_rows = {
             name: float(stats.row_count)
             for name, stats in self.store.source_overrides().items()
@@ -84,39 +85,39 @@ class FeedbackEstimator(CardinalityEstimator):
             return observed
         return super().source_rows(op)
 
-    def _estimate(self, node: Node) -> EstStats:
+    def _observation(self, node: Node):
+        """The store's fresh observation of exactly this sub-flow, if any;
+        looked up once per node (estimating and :meth:`observed` both ask)."""
+        try:
+            return self._observations[node]
+        except KeyError:
+            pass
+        stats = None
         if isinstance(node.op, UdfOperator):
             # Resolved keys make observations transfer both ways across
             # materialized stage boundaries (identical to the plain
             # signature key for ordinary plans).
             stats = self.store.node_stats(resolved_signature_key(node))
-            if stats is not None:
-                # Children still estimate normally (their own observations
-                # apply recursively); the node's output is pinned to what
-                # the engine measured for this exact logical sub-flow.
-                for child in node.children:
-                    self.estimate(child)
-                return EstStats(
-                    rows=stats.rows_out,
-                    width=self._width(node),
-                    calls=stats.udf_calls,
-                )
-        return super()._estimate(node)
+        self._observations[node] = stats
+        return stats
 
-    def bound_stats_via(self, node: Node, child_stats) -> EstStats:
-        # Mirror the observation pinning above: the guided search's lower
-        # bound must see the same output cardinality the estimate will,
-        # otherwise a pinned-low node could make the bound *exceed* the
-        # true cost and break admissibility.
-        if isinstance(node.op, UdfOperator):
-            stats = self.store.node_stats(resolved_signature_key(node))
-            if stats is not None:
-                return EstStats(
-                    rows=stats.rows_out,
-                    width=self._width(node),
-                    calls=stats.udf_calls,
-                )
-        return super().bound_stats_via(node, child_stats)
+    def observed(self, node: Node) -> bool:
+        return self._observation(node) is not None
+
+    def _estimate(self, node: Node) -> EstStats:
+        stats = self._observation(node)
+        if stats is not None:
+            # Children still estimate normally (their own observations
+            # apply recursively); the node's output is pinned to what
+            # the engine measured for this exact logical sub-flow.
+            for child in node.children:
+                self.estimate(child)
+            return EstStats(
+                rows=stats.rows_out,
+                width=self._width(node),
+                calls=stats.udf_calls,
+            )
+        return super()._estimate(node)
 
 
 # ---------------------------------------------------------------------------

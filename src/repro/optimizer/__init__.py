@@ -18,23 +18,23 @@ lookup.  Three layers exploit this:
   estimator does no repeated work across alternatives.
 * **Physical optimization** (:mod:`.physical`): a
   :class:`.physical.PhysicalOptimizer` costs against a first-class
-  Volcano :class:`.memo.Memo` (interned sub-plan -> pruned physical
-  options, plus memo-scoped estimator caches and the enumerated
-  closure).  :class:`.optimizer.Optimizer` constructs one per call and
-  reuses it across every enumerated alternative, so shared subtrees are
-  physically optimized exactly once; binary operators additionally prune
-  dominated child combinations with an exact branch-and-bound cut.
-  ``Optimizer(reuse_memo=False)`` re-plans each alternative from
-  scratch; results are identical by construction (see
-  ``tests/optimizer/test_memoization.py``).
+  Volcano :class:`.memo.Memo`, so a sub-plan shared by many alternatives
+  is physically optimized once; binary operators prune dominated child
+  combinations with an exact branch-and-bound cut.
+  ``Optimizer(reuse_memo=False)`` re-plans each alternative from scratch;
+  results are identical (``tests/optimizer/test_memoization.py``).
+* **Group memo** (:mod:`.memo`, ``Optimizer(search="guided")``): the swap
+  rules fire on *cells* of equivalent sub-flows instead of trees, each
+  cell is costed once, and the top-k is extracted from the root cells —
+  eager's ranking prefix without building the closure.
 * **Incremental re-costing** (:mod:`.memo`): an explicit memo passed to
   ``Optimizer.optimize(memo=...)`` survives across calls and feedback
   rounds; ``Memo.invalidate(changed_ops)`` evicts only the dirty spine
   above operators whose hints or learned statistics changed, and
   ``Optimizer.reoptimize`` re-ranks bit-identically to a full rebuild.
 * **Parallel costing** (:mod:`.parallel`): ``Optimizer(jobs=N)`` shards
-  the alternative list across forked workers with per-worker memos that
-  are merged back into the shared one.
+  eager's alternative list across forked workers with per-worker memos
+  that are merged back into the shared one.
 """
 
 from .cardinality import CardinalityEstimator, EstStats, Hints
@@ -56,11 +56,9 @@ from .optimizer import (
     optimize,
 )
 from .physical import (
-    BoundEntry,
     LocalStrategy,
     PhysicalOptimizer,
     PhysNode,
-    PlanLowerBound,
     Ship,
     ShipKind,
     optimize_physical,
@@ -73,7 +71,6 @@ from .rules import (
 )
 
 __all__ = [
-    "BoundEntry",
     "CardinalityEstimator",
     "CostParams",
     "EstStats",
@@ -85,7 +82,6 @@ __all__ = [
     "PhysNode",
     "PhysicalOptimizer",
     "PlanContext",
-    "PlanLowerBound",
     "RankedPlan",
     "SearchStats",
     "Ship",

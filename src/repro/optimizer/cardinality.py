@@ -79,8 +79,8 @@ class CardinalityEstimator:
         self._cache: dict[Node, EstStats] = {}
         self._width_cache: dict[frozenset, float] = {}
         #: Number of estimates actually computed (estimate-cache misses)
-        #: by this instance — the guided-search benchmarks' estimation-work
-        #: metric.  Cache hits (memo-carried estimates included) are free
+        #: by this instance — the benchmarks' estimation-work metric.
+        #: Cache hits (memo-carried estimates included) are free
         #: and not counted.
         self.estimate_calls: int = 0
 
@@ -153,36 +153,21 @@ class CardinalityEstimator:
         self._cache[node] = result
         return result
 
+    def observed(self, node: Node) -> bool:
+        """Does this estimator pin ``node``'s estimate to an observation of
+        exactly this sub-flow, instead of deriving it from the children's
+        estimates?  Never, here; the feedback estimator overrides it.  The
+        group memo keeps such trees in option buckets of their own."""
+        return False
+
     def _estimate(self, node: Node) -> EstStats:
-        return self._model_stats(node, self.estimate)
-
-    def bound_stats_via(self, node: Node, child_stats) -> EstStats:
-        """Per-node stats for lower-bound costing.
-
-        ``child_stats(child_node)`` supplies the (already bounded) stats of
-        each child.  The default applies the exact estimation formulas, so
-        the bound's cardinalities equal the true estimates — admissible
-        because the physical relaxation alone under-counts cost.
-        Subclasses that pin observed statistics (the feedback estimator)
-        must override this so the bound sees the same pinned values the
-        estimate will, keeping the bound a true lower bound under learned
-        stats.
-        """
-        return self._model_stats(node, child_stats)
-
-    def _model_stats(self, node: Node, stats_of) -> EstStats:
-        """The per-operator estimation formulas (Section 7.1).
-
-        Shared by :meth:`_estimate` (``stats_of = self.estimate``, cached
-        and counted) and :meth:`bound_stats_via` (``stats_of`` reads the
-        bound table) so the two can never drift apart.
-        """
+        """The per-operator estimation formulas (Section 7.1)."""
         op = node.op
         if isinstance(op, Source):
             rows = self.source_rows(op)
             return EstStats(rows, self._width(node), 0.0)
         if isinstance(op, Sink):
-            child = stats_of(node.only_child)
+            child = self.estimate(node.only_child)
             return EstStats(child.rows, child.width, 0.0)
         if not isinstance(op, UdfOperator):  # pragma: no cover - defensive
             raise OptimizationError(f"cannot estimate {op!r}")
@@ -196,11 +181,11 @@ class CardinalityEstimator:
         )
 
         if isinstance(op, MapOp):
-            child = stats_of(node.only_child)
+            child = self.estimate(node.only_child)
             calls = child.rows
             return EstStats(calls * sel, self._width(node), calls)
         if isinstance(op, ReduceOp):
-            child = stats_of(node.only_child)
+            child = self.estimate(node.only_child)
             groups = (
                 float(hint.distinct_keys)
                 if hint.distinct_keys is not None
@@ -218,8 +203,8 @@ class CardinalityEstimator:
             )
             return EstStats(groups * per_group, self._width(node), groups)
         if isinstance(op, MatchOp):
-            left = stats_of(node.children[0])
-            right = stats_of(node.children[1])
+            left = self.estimate(node.children[0])
+            right = self.estimate(node.children[1])
             if hint.distinct_keys is not None:
                 denom = float(hint.distinct_keys)
             else:
@@ -229,13 +214,13 @@ class CardinalityEstimator:
             pairs = left.rows * right.rows / denom
             return EstStats(pairs * sel, self._width(node), pairs)
         if isinstance(op, CrossOp):
-            left = stats_of(node.children[0])
-            right = stats_of(node.children[1])
+            left = self.estimate(node.children[0])
+            right = self.estimate(node.children[1])
             pairs = left.rows * right.rows
             return EstStats(pairs * sel, self._width(node), pairs)
         if isinstance(op, CoGroupOp):
-            left = stats_of(node.children[0])
-            right = stats_of(node.children[1])
+            left = self.estimate(node.children[0])
+            right = self.estimate(node.children[1])
             if hint.distinct_keys is not None:
                 keys = float(hint.distinct_keys)
             else:

@@ -1,50 +1,80 @@
-"""The incremental Memo: a first-class, invalidatable Volcano store.
+"""The Memo: everything derived about one plan space, invalidatable.
 
-PR 1 buried the Volcano memo — the interned-sub-plan -> pruned-physical-
-options table — inside :class:`~repro.optimizer.physical.PhysicalOptimizer`,
-which made it impossible to selectively invalidate, shard across workers,
-or carry across feedback rounds.  This module extracts it into a
-standalone subsystem with three responsibilities:
+**Ownership.**  A :class:`Memo` owns the per-plan-space state the
+optimizer derives.  Hint-independent (legality only, never invalidated):
+the *cells* of the group memo — sets of equivalent sub-flows explored by
+firing the swap rules on cell expressions (:meth:`Memo.explore`) — plus
+record widths and, for the tree-at-a-time eager path, enumerated closures,
+neighbor lists and samples.  Hint-dependent: the per-cell option tables,
+the per-tree options table, and the cardinality estimator's per-node
+cache (bound into the estimator via :meth:`Memo.bind`).
 
-**Ownership.**  A :class:`Memo` owns every piece of per-plan-space derived
-state the optimizer computes: the physical options table, the cardinality
-estimator's per-node estimate cache and per-attribute-set width cache
-(bound into the estimator via :meth:`Memo.bind`, so invalidation reaches
-them), and the enumerated closure of each optimized flow (plan legality is
-hint-independent, so the closure never needs invalidating).
-
-**Dirty-spine invalidation.**  Alongside the table the memo maintains a
-reverse dependency index: operator name -> the memo entries whose logical
-subtree contains that operator.  When feedback (or a user) changes the
-hints, observations, or source statistics of some operators,
-:meth:`Memo.invalidate` evicts exactly the entries on the spine *above*
-the changed operators — both physical options and cached estimates —
-so the next :meth:`Optimizer.optimize(memo=...)
+**Dirty-spine invalidation.**  A reverse dependency index maps an
+operator name to the entries — trees and cells — whose sub-flow contains
+that operator.  When the hints, observations or source statistics of some
+operators change, :meth:`Memo.invalidate` evicts exactly the entries on
+the spine *above* them, so the next :meth:`Optimizer.optimize(memo=...)
 <repro.optimizer.optimizer.Optimizer.optimize>` call re-costs the dirty
-spine and reuses everything else verbatim.  Because an estimate (and
-hence a cost) depends only on the operators inside its node's subtree —
-their hints, per-signature observations, and source statistics — an entry
-containing no changed operator is bit-identical under the new estimator,
-which is what makes the reuse exact (pinned by the invalidation parity
-tests).
+spine and reuses everything else verbatim.  An estimate (and hence a
+cost) depends only on the operators inside its sub-flow, so a surviving
+entry is bit-identical under the new estimator (pinned by the
+invalidation parity tests).
 
-**Worker merge.**  Parallel costing (:mod:`repro.optimizer.parallel`)
-costs shards of the alternative list in forked worker processes, each
-against its own fork-inherited copy of the shared memo; the new entries
-each worker produced are merged back through :meth:`Memo.adopt` /
-:meth:`Memo.merge` (first writer wins — entries are deterministic per
-node, so collisions are structurally identical).
+**Worker merge.**  Parallel eager costing (:mod:`repro.optimizer.parallel`)
+merges the per-tree entries forked workers produced back through
+:meth:`Memo.adopt` / :meth:`Memo.merge` (first writer wins — entries are
+deterministic per node).
 """
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
+from ..core.operators import Operator
 from ..core.plan import Node
 from .cardinality import CardinalityEstimator, EstStats
+from .context import PlanContext
+from .rules import local_swaps
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle (physical imports memo)
-    from .physical import BoundEntry, PhysNode
+    from .physical import CellTable, PhysNode
+
+
+class Expr:
+    """One cell expression: an operator over child cells.
+
+    It stands for every tree ``op(t1, .., tn)`` with ``ti`` a member of
+    ``children[i]``; ``rep`` is one such tree.
+    """
+
+    __slots__ = ("op", "children", "rep")
+
+    def __init__(
+        self, op: Operator, children: tuple["Cell", ...], rep: Node
+    ) -> None:
+        self.op = op
+        self.children = children
+        self.rep = rep
+
+
+class Cell:
+    """A set of equivalent sub-flows no swap rule can tell apart.
+
+    Members share their operator-name set (``names``) and the three
+    derived facts swap legality reads of a sub-flow — output attributes,
+    unique keys, row preservation — so any member (``rep``) can stand in
+    for the cell when a rule is evaluated.  ``parents`` lists the
+    ``(expression, input side)`` pairs that consume this cell.
+    """
+
+    __slots__ = ("names", "rep", "exprs", "parents")
+
+    def __init__(self, names: frozenset[str], rep: Node) -> None:
+        self.names = names
+        self.rep = rep
+        self.exprs: list[Expr] = []
+        self.parents: list[tuple[Expr, int]] = []
 
 
 class _RegisteringDict(dict):
@@ -91,39 +121,37 @@ class Memo:
         #: Optimized flow -> its enumerated closure.  Swap legality does
         #: not depend on hints, so re-optimization reuses the closure.
         self.closures: dict[Node, tuple[Node, ...]] = {}
-        #: Interned node -> its legal single-swap neighbors.  These are the
-        #: partial-closure entries of the guided search: legality is
-        #: hint-independent, so they survive :meth:`invalidate` and make
-        #: re-search after a statistics change expand for free.
+        #: Interned node -> its legal single-swap neighbors (tree-level
+        #: enumeration; hint-independent, survives :meth:`invalidate`).
         self.neighbors: dict[Node, tuple[Node, ...]] = {}
         #: (flow, limit, seed) -> sampled alternative subset, drawn during
         #: expansion (reservoir).  Sampling is hint-independent, so cached
         #: samples survive :meth:`invalidate` and keep ``reoptimize``
         #: deterministic under ``max_alternatives``.
         self.samples: dict[tuple[Node, int, int], tuple[Node, ...]] = {}
-        #: Interned logical sub-plan -> admissible lower-bound summary
-        #: (:class:`~repro.optimizer.physical.BoundEntry`).  A bound
-        #: depends on the subtree's statistics and hints exactly like an
-        #: estimate does, so :meth:`invalidate` evicts it along the same
-        #: dirty spine.  Writers (:class:`~repro.optimizer.physical.
-        #: PlanLowerBound`) register keys lazily through ``_pending`` —
-        #: the adopt() pattern — keeping the per-entry hot path free of
-        #: the dependency-index walk.
-        self.bounds: dict[Node, "BoundEntry"] = {}
+        #: The group memo's logical layer: ``classes`` maps an operator-
+        #: name set to its cells by derived facts ``(out_attrs, unique_keys,
+        #: row_preserving)``, ``exprs`` an expression ``(op, child cells)``
+        #: to its cell, ``_cell_of`` every tree interned so far to its cell.
+        #: Legality only — hint-independent — so :meth:`invalidate` keeps it.
+        self.classes: dict[frozenset[str], dict[tuple, Cell]] = {}
+        self.exprs: dict[tuple[Operator, tuple[Cell, ...]], Cell] = {}
+        self._cell_of: dict[Node, Cell] = {}
+        #: Cell -> its option table (:meth:`~repro.optimizer.physical.
+        #: PhysicalOptimizer.cell_options`) of the ``options_k`` cheapest
+        #: trees per bucket (:meth:`want_cheapest`).  Evicted like estimates:
+        #: a cell is dirty iff its name set contains a changed operator.
+        self.cell_options: dict[Cell, "CellTable"] = {}
+        self.options_k = 0
         self._op_names = op_names if op_names is not None else self._names_of
         self._names: dict[Node, frozenset[str]] = {}
-        # Reverse dependency index: operator name -> every node ever
-        # registered whose subtree contains that operator.  "Contains" is
-        # a stable property of an interned node, so eviction never needs
-        # to unregister: the index may name evicted nodes (their pops
-        # no-op on the next invalidation) and re-stored nodes re-register
-        # with a single set lookup.
-        self._registered: set[Node] = set()
-        self._by_name: dict[str, set[Node]] = {}
-        # Entries adopted from workers register lazily: the index is only
-        # consulted by invalidate()/dependents_of(), so bulk merges defer
-        # the per-name bookkeeping out of the costing critical path.
-        self._pending: list[Node] = []
+        # Reverse dependency index: operator-name set -> every tree and
+        # cell ever registered over exactly those operators.  A plan space
+        # has few distinct name sets (one per class), so registering is
+        # one dict probe and invalidation scans the sets, not the entries.
+        # Registration is permanent (a name set never changes): the index
+        # may name evicted entries, whose pops no-op.
+        self._by_names: dict[frozenset[str], set[Node | Cell]] = {}
 
     # -- table access ------------------------------------------------------
 
@@ -134,24 +162,133 @@ class Memo:
         self._register(node)
         self.table[node] = options
 
+    def store_cell(self, cell: Cell, table: "CellTable") -> None:
+        self._register(cell)
+        self.cell_options[cell] = table
+
     def __len__(self) -> int:
         return len(self.table)
 
-    def size(self) -> int:
-        """Total live derived-state entries (options, estimates, bounds).
+    def want_cheapest(self, k: int) -> None:
+        """Make the cell tables hold (at least) the ``k`` cheapest trees.
 
-        The planning server's memory accounting: closures/neighbors/
-        samples are shared, hint-independent structure and comparatively
-        small, so the three invalidatable tables are the figure that
-        tracks a tenant's warm-state footprint.
+        A table of the k cheapest answers every smaller k exactly, so the
+        tables are kept at the largest k ever asked for and dropped only
+        when a larger one arrives.
         """
-        return len(self.table) + len(self.est_cache) + len(self.bounds)
+        if k > self.options_k:
+            self.cell_options.clear()
+            self.options_k = k
+
+    def size(self) -> int:
+        """Live invalidatable entries: per-tree options, per-cell option
+        tables, estimates — the planning server's figure for a tenant's
+        warm-state footprint (the hint-independent structure beside them
+        is shared and comparatively small)."""
+        return len(self.table) + len(self.cell_options) + len(self.est_cache)
 
     def __iter__(self) -> Iterator[Node]:
         return iter(self.table)
 
     def __contains__(self, node: object) -> bool:
         return node in self.table
+
+    # -- logical layer: cells ----------------------------------------------
+
+    def explore(self, flow: Node, ctx: PlanContext) -> tuple[Cell, ...]:
+        """The cells of ``flow``'s class, closed under every legal swap.
+
+        Each swap rule fires once per (expression, child expression)
+        pair, on one representative tree: a rule reads nothing of a
+        sub-flow beyond what its cell's members agree on, so today's
+        :func:`~repro.optimizer.rules.local_swaps` decides for the whole
+        pair.  The trees the returned cells stand for are exactly the
+        closure :func:`~repro.optimizer.enumeration.iter_flows` streams.
+        A memo serves one plan space: sub-flows over the same operators
+        are taken to be reorderings of each other.
+        """
+        todo: list[tuple[Expr, int, Expr]] = []
+        self._intern(flow, ctx, todo)
+        while todo:
+            parent, side, child = todo.pop()
+            inputs = [cell.rep for cell in parent.children]
+            inputs[side] = child.rep
+            for swapped in local_swaps(Node(parent.op, tuple(inputs)), ctx):
+                self._intern(swapped, ctx, todo)
+        return tuple(self.classes[ctx.op_names(flow)].values())
+
+    def _intern(self, tree: Node, ctx: PlanContext, todo: list) -> Cell:
+        cell = self._cell_of.get(tree)
+        if cell is None:
+            children = tuple(self._intern(c, ctx, todo) for c in tree.children)
+            cell = self._cell_of[tree] = self._add(
+                tree.op, children, tree, ctx, todo
+            )
+        return cell
+
+    def _add(
+        self,
+        op: Operator,
+        children: tuple[Cell, ...],
+        rep: Node | None,
+        ctx: PlanContext,
+        todo: list,
+    ) -> Cell:
+        """The cell owning expression ``(op, children)``, adding it if new.
+
+        A new expression queues every rule firing it takes part in, and
+        is instantiated over the sibling cells of its inputs: cells of
+        one class (one operator-name set) are reachable from each other
+        by swaps inside the sub-flow, so what consumes one consumes all.
+        """
+        cell = self.exprs.get((op, children))
+        if cell is not None:
+            return cell
+        if rep is None:
+            rep = Node(op, tuple(child.rep for child in children))
+        names = ctx.op_names(rep)
+        facts = (ctx.out_attrs(rep), ctx.unique_keys(rep), ctx.row_preserving(rep))
+        cells = self.classes.setdefault(names, {})
+        cell = cells.get(facts)
+        fresh = cell is None
+        if fresh:
+            cell = cells[facts] = Cell(names, rep)
+        self.exprs[op, children] = cell
+        expr = Expr(op, children, rep)
+        cell.exprs.append(expr)
+        for side, child in enumerate(children):
+            child.parents.append((expr, side))
+            todo.extend((expr, side, below) for below in child.exprs)
+        todo.extend((parent, side, expr) for parent, side in cell.parents)
+        def over(inputs: tuple[Cell, ...], side: int, other: Cell):
+            return inputs[:side] + (other,) + inputs[side + 1 :]
+
+        for side, child in enumerate(children):
+            for sibling in tuple(self.classes[child.names].values()):
+                if sibling is not child:
+                    self._add(op, over(children, side, sibling), None, ctx, todo)
+        if fresh:
+            for sibling in tuple(cells.values()):
+                if sibling is not cell:
+                    for parent, side in tuple(sibling.parents):
+                        inputs = over(parent.children, side, cell)
+                        self._add(parent.op, inputs, None, ctx, todo)
+        return cell
+
+    def tree_count(self, cells: Iterable[Cell]) -> int:
+        """How many distinct trees ``cells`` stand for (a sum-product)."""
+        counts: dict[Cell, int] = {}
+
+        def count(cell: Cell) -> int:
+            got = counts.get(cell)
+            if got is None:
+                got = counts[cell] = sum(
+                    math.prod(count(child) for child in expr.children)
+                    for expr in cell.exprs
+                )
+            return got
+
+        return sum(count(cell) for cell in cells)
 
     # -- estimator binding -------------------------------------------------
 
@@ -166,12 +303,12 @@ class Memo:
 
     # -- dependency index --------------------------------------------------
 
-    def _register(self, node: Node) -> None:
-        if node in self._registered:
-            return
-        self._registered.add(node)
-        for name in self._op_names(node):
-            self._by_name.setdefault(name, set()).add(node)
+    def _register(self, entry: "Node | Cell") -> None:
+        names = entry.names if isinstance(entry, Cell) else self._op_names(entry)
+        entries = self._by_names.get(names)
+        if entries is None:
+            entries = self._by_names[names] = set()
+        entries.add(entry)
 
     def _names_of(self, node: Node) -> frozenset[str]:
         """Fallback subtree-name derivation (memoized per interned node)."""
@@ -186,11 +323,13 @@ class Memo:
             self._names[node] = got
         return got
 
-    def _drain_pending(self) -> None:
-        if self._pending:
-            for node in self._pending:
-                self._register(node)
-            self._pending.clear()
+    def _containing(self, op_names: frozenset[str]) -> set["Node | Cell"]:
+        """Every registered entry whose sub-flow has one of ``op_names``."""
+        found: set[Node | Cell] = set()
+        for names, entries in self._by_names.items():
+            if not names.isdisjoint(op_names):
+                found |= entries
+        return found
 
     def dependents_of(self, op_name: str) -> frozenset[Node]:
         """Every registered node whose subtree contains ``op_name``.
@@ -198,8 +337,11 @@ class Memo:
         Registration is permanent (containment is a stable property of an
         interned node), so the result may include currently-evicted nodes.
         """
-        self._drain_pending()
-        return frozenset(self._by_name.get(op_name, ()))
+        return frozenset(
+            entry
+            for entry in self._containing(frozenset({op_name}))
+            if isinstance(entry, Node)
+        )
 
     # -- invalidation ------------------------------------------------------
 
@@ -210,25 +352,21 @@ class Memo:
         own entry and every entry *above* it (any node whose subtree
         contains it), while sibling subtrees — typically the overwhelming
         majority of a plan space's distinct sub-plans — stay cached.
-        The physical options table, the estimate cache, and the guided
-        search's bound cache are evicted; widths, closures, neighbors and
-        samples are hint-independent and survive.  Returns the number of
-        entries evicted.
+        The per-tree options table, the estimate cache and the per-cell
+        option tables are evicted (a cell is dirty iff its name set
+        contains a changed operator); widths, the cells themselves,
+        closures, neighbors and samples are hint-independent and survive.
+        Returns the number of entries evicted.
         """
-        self._drain_pending()
-        victims: set[Node] = set()
-        for name in changed_ops:
-            nodes = self._by_name.get(name)
-            if nodes:
-                victims |= nodes
+        victims = self._containing(frozenset(changed_ops))
         evicted = 0
         table_pop = self.table.pop
         est_pop = self.est_cache.pop  # plain dict.pop: eviction, not a write
-        bound_pop = self.bounds.pop
-        for node in victims:
-            hit = table_pop(node, None) is not None
-            hit = (est_pop(node, None) is not None) or hit
-            hit = (bound_pop(node, None) is not None) or hit
+        cell_pop = self.cell_options.pop
+        for entry in victims:
+            hit = table_pop(entry, None) is not None
+            hit = (est_pop(entry, None) is not None) or hit
+            hit = (cell_pop(entry, None) is not None) or hit
             if hit:
                 evicted += 1
         return evicted
@@ -250,19 +388,14 @@ class Memo:
         the number of options-table entries adopted.
         """
         adopted = 0
-        table = self.table
-        pending = self._pending
         for node, options in table_items:
-            if node not in table:
-                table[node] = options
-                pending.append(node)
+            if node not in self.table:
+                self.store(node, options)
                 adopted += 1
         est_cache = self.est_cache
         for node, est in est_items:
             if node not in est_cache:
-                # Plain dict write: registration is deferred to _pending.
-                dict.__setitem__(est_cache, node, est)
-                pending.append(node)
+                est_cache[node] = est
         for key, width in width_items:
             self.width_cache.setdefault(key, width)
         return adopted

@@ -6,24 +6,22 @@ flows, call the cost-based physical optimizer on each alternative, and
 rank the resulting execution plans by estimated cost.
 
 Two search strategies share that pipeline.  ``search="eager"`` (the
-reference) costs every alternative and sorts.  ``search="guided"`` runs a
-best-first search: alternatives stream out of the generator-based
-enumerator straight into a priority frontier ordered by an admissible
-lower bound (:class:`~repro.optimizer.physical.PlanLowerBound`), only the
-frontier head is physically costed, and the search stops as soon as the
-requested top-``k`` completed plans are provably cheaper — under the
-eager tie-break — than every open node's bound.  The two strategies
-return bit-identical plans for the guaranteed prefix; guided simply
-refuses to cost the part of the closure that cannot matter.
+reference) enumerates the closure tree by tree, costs every alternative
+and sorts.  ``search="guided"`` plans over the group memo
+(:mod:`~repro.optimizer.memo`): the swap rules fire on *cells* of
+equivalent sub-flows, each cell is physically costed once, and the
+top-``k`` trees are extracted from the root cells — no tree of the
+closure is built except the ``k`` returned.  The two strategies return
+bit-identical plans for that prefix.
 """
 
 from __future__ import annotations
 
-import heapq
+import math
 import random
-from bisect import insort
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from ..core.catalog import Catalog
 from ..core.errors import OptimizationConfigError, OptimizationError
@@ -35,19 +33,20 @@ from .context import PlanContext
 from .cost import CostParams
 from .enumeration import iter_flows
 from .memo import Memo
-from .physical import PhysicalOptimizer, PhysNode, PlanLowerBound
+from .physical import PhysicalOptimizer, PhysNode
 
 
 @dataclass(frozen=True, slots=True)
 class SearchStats:
     """Work accounting for one :meth:`Optimizer.optimize` call.
 
-    ``expanded`` counts logical alternatives generated into the search
-    (the frontier for guided, the sampled closure for eager); ``costed``
-    counts alternatives physically optimized; ``pruned`` is the open
-    frontier the guided termination rule never had to cost;
-    ``bounds_computed`` counts fresh lower-bound entries;
-    ``estimate_calls`` counts cardinality-estimate cache misses spent.
+    ``expanded`` counts the logical alternatives the search covered
+    (the trees the memo's root cells stand for under guided, the sampled
+    closure under eager); ``costed`` counts alternatives whose physical
+    plan was derived by the tree-level search; ``pruned`` is the rest;
+    ``bounds_computed`` counts the cell option tables computed in this
+    call (surviving ones are free); ``estimate_calls`` counts
+    cardinality-estimate cache misses spent.
     All five are exported as ``optimizer.search.*`` / ``optimizer.estimates``
     counters through :mod:`repro.obs`.
     """
@@ -156,14 +155,14 @@ class Optimizer:
 
     **Search strategies.**  ``search="eager"`` (the default and the
     parity reference) costs every candidate and sorts.  ``search="guided"``
-    runs the best-first search of :meth:`_optimize_guided`: candidates
-    stream into a frontier ordered by an admissible lower bound
-    (:class:`~repro.optimizer.physical.PlanLowerBound`), only frontier
-    heads are costed, and the search stops once the requested ``top_k``
-    prefix is provably final — returning the bit-identical top-``k``
-    eager would, at a small fraction of the costing (and estimation)
-    work.  ``top_k`` trims eager's ranking the same way, so the two
-    strategies stay interchangeable.
+    plans over the group memo (:meth:`_optimize_guided`): cells of
+    equivalent sub-flows are explored and costed once each and the
+    ``top_k`` cheapest trees extracted from the root cells — the
+    bit-identical top-``k`` eager would return, without building the
+    closure.  ``top_k`` trims eager's ranking the same way, so the two
+    strategies stay interchangeable; under ``max_alternatives`` guided
+    *is* the trimmed eager ranking of the sample, and ``jobs`` has
+    nothing to shard when only ``top_k`` trees are planned tree by tree.
 
     **Plan-space sampling.**  ``max_alternatives=N`` ranks a deterministic
     sample of the closure — the implemented flow plus ``N - 1``
@@ -218,8 +217,8 @@ class Optimizer:
             )
         if search == "guided" and not reuse_memo:
             raise OptimizationConfigError(
-                "search='guided' requires reuse_memo=True: the bound table "
-                "lives in the shared memo"
+                "search='guided' requires reuse_memo=True: the cells and "
+                "their option tables live in the shared memo"
             )
         if top_k is not None and (
             not isinstance(top_k, int) or isinstance(top_k, bool) or top_k < 1
@@ -238,10 +237,7 @@ class Optimizer:
         self.max_alternatives = max_alternatives
         self.sample_seed = sample_seed
         self.search = search
-        #: Ranked-prefix length to guarantee.  ``None`` means "everything"
-        #: for eager and "the rank-1 plan" for guided (a guided search
-        #: asked for the full ranking would have to cost the whole
-        #: closure, defeating it).
+        #: Ranked-prefix length to return (see :attr:`_prefix` for ``None``).
         self.top_k = top_k
         # Wall-clock observability (repro.obs); the tracer never touches
         # estimates, costs, or ranking — planning output is bit-identical
@@ -250,6 +246,14 @@ class Optimizer:
         #: Estimator used by the most recent :meth:`optimize` call — the
         #: feedback loop reads its cached estimates for q-error reporting.
         self.last_estimator: CardinalityEstimator | None = None
+
+    @property
+    def _prefix(self) -> int | None:
+        """Ranks to return: ``top_k``, else all (eager) or rank 1 (guided —
+        asked for everything it would have to cost the whole closure)."""
+        if self.top_k is None and self.search == "guided":
+            return 1
+        return self.top_k
 
     def new_memo(self) -> Memo:
         """A fresh memo wired to this optimizer's context.
@@ -279,7 +283,7 @@ class Optimizer:
         with root_span:
             estimator = self.estimator_factory(self.ctx, self.hints)
             self.last_estimator = estimator
-            if self.search == "guided":
+            if self.search == "guided" and self.max_alternatives is None:
                 ranked, stats, enum_secs, phys_secs = self._optimize_guided(
                     flow, memo, estimator
                 )
@@ -330,10 +334,7 @@ class Optimizer:
     # -- internals ---------------------------------------------------------
 
     def _optimize_eager(
-        self,
-        flow: Node,
-        memo: Memo | None,
-        estimator: CardinalityEstimator,
+        self, flow: Node, memo: Memo | None, estimator: CardinalityEstimator
     ) -> tuple[list[RankedPlan], SearchStats, float, float]:
         """The reference strategy: cost every candidate, sort, rank."""
         tracer = self.tracer
@@ -373,139 +374,106 @@ class Optimizer:
             RankedPlan(rank=i + 1, body=alt, physical=phys)
             for i, (_, alt, phys) in enumerate(scored)
         ]
-        if self.top_k is not None:
-            ranked = ranked[: self.top_k]
+        ranked = ranked[: self._prefix]
         stats = SearchStats(
-            search="eager",
-            expanded=len(sampled),
-            costed=len(sampled),
-            pruned=0,
-            bounds_computed=0,
-            estimate_calls=estimator.estimate_calls,
+            "eager", len(sampled), len(sampled), 0, 0, estimator.estimate_calls
         )
         return ranked, stats, t1 - t0, t2 - t1
 
     def _optimize_guided(
-        self,
-        flow: Node,
-        memo: Memo | None,
-        estimator: CardinalityEstimator,
+        self, flow: Node, memo: Memo | None, estimator: CardinalityEstimator
     ) -> tuple[list[RankedPlan], SearchStats, float, float]:
-        """Best-first search: cost only what the bound cannot rule out.
+        """Plan over the group memo: explore cells, cost cells, extract k.
 
-        Every candidate streams out of the generator-based enumerator into
-        a frontier heap keyed by ``(lower_bound, discovery_index)``; only
-        the head is physically costed.  Because the eager reference ranks
-        by a stable sort — i.e. by the lexicographic key ``(true_cost,
-        discovery_index)`` — and ``true_cost >= lower_bound``, an open
-        node whose heap key exceeds the k-th completed plan's key can
-        never enter the true top-k, and the heap pops in ascending key
-        order, so the first such head terminates the search with the
-        bit-identical top-k prefix eager would produce.
+        The closure is never built.  :meth:`Memo.explore` fires the swap
+        rules on cell expressions, :meth:`PhysicalOptimizer.cell_options`
+        costs each cell once keeping the ``k`` cheapest trees per option
+        bucket, and the root cells' buckets merged by tree hold eager's
+        top-``k`` with float-equal costs.  Only those ``k`` trees are
+        then planned by the tree-level search, so the physical plans
+        returned are the very ones eager returns.
         """
         tracer = self.tracer
-        k = self.top_k if self.top_k is not None else 1
+        k = self._prefix
         shared_memo = memo if memo is not None else self.new_memo()
         shared_memo.bind(estimator)
-        bounder = PlanLowerBound(self.ctx, estimator, self.params, shared_memo)
-        bounds_before = len(shared_memo.bounds)
         t0 = clock()
         with tracer.span("optimizer.enumerate", category="optimizer") as enum_span:
-            frontier: list[tuple[float, int, Node]] = [
-                (bounder.bound(alt), idx, alt)
-                for idx, alt in enumerate(self._expand(flow, shared_memo))
-            ]
-            heapq.heapify(frontier)
-        expanded = len(frontier)
+            roots = shared_memo.explore(flow, self.ctx)
+            expanded = shared_memo.tree_count(roots)
         enum_span.set(sampled=expanded)
         t1 = clock()
-        # Completed plans, kept sorted by (cost, discovery index) — the
-        # eager tie-break.  Indices are unique, so tuple comparison never
-        # reaches the (incomparable) Node/PhysNode elements.
-        completed: list[tuple[float, int, Node, PhysNode]] = []
-        cost_span = tracer.span(
-            "optimizer.cost",
-            category="optimizer",
-            alternatives=expanded,
-            jobs=self.jobs,
+        physical_optimizer = PhysicalOptimizer(
+            self.ctx, estimator, self.params, memo=shared_memo
         )
-        with cost_span:
-            use_parallel = False
-            if self.jobs > 1 and expanded > 1:
-                from . import parallel
-
-                use_parallel = parallel.available()
-            physical_optimizer = PhysicalOptimizer(
-                self.ctx, estimator, self.params, memo=shared_memo
-            )
-
-            def settled() -> bool:
-                return (
-                    len(completed) >= k
-                    and frontier[0][:2] > completed[k - 1][:2]
-                )
-
-            while frontier:
-                if settled():
+        with tracer.span(
+            "optimizer.cost", category="optimizer", alternatives=expanded, jobs=1
+        ):
+            want = k
+            while True:
+                shared_memo.want_cheapest(want)
+                cheapest: dict[Node, float] = {}
+                lost = math.inf
+                for cell in roots:
+                    table = physical_optimizer.cell_options(cell)
+                    for options, left_out in table.values():
+                        lost = min(lost, left_out)
+                        for option in options:
+                            known = cheapest.get(option.logical)
+                            if known is None or option.cost_total < known:
+                                cheapest[option.logical] = option.cost_total
+                order = sorted(cheapest, key=cheapest.__getitem__)
+                # A tree the tables left out is never cheaper than the k
+                # kept, but rounding can make it *tie* rank k: widen then.
+                if want >= expanded or lost > cheapest[order[k - 1]]:
                     break
-                if use_parallel:
-                    # Pop a topological wave of frontier heads and cost it
-                    # across the worker pool; the termination rule is
-                    # re-checked between pops, so a wave may cost a few
-                    # plans sequential search would have skipped — they
-                    # are trimmed below, keeping results bit-identical.
-                    wave = [heapq.heappop(frontier)]
-                    cap = self.jobs * 4
-                    while len(wave) < cap and frontier and not settled():
-                        wave.append(heapq.heappop(frontier))
-                    costed = parallel.cost_alternatives(
-                        tuple(alt for _, _, alt in wave),
-                        self.ctx,
-                        estimator,
-                        self.params,
-                        shared_memo,
-                        min(self.jobs, len(wave)),
-                        tracer=tracer,
+                want = 2 * shared_memo.options_k
+            ranked = []
+            for alt in self._in_eager_order(flow, shared_memo, cheapest, order, k):
+                with tracer.span("optimizer.alternative", category="optimizer"):
+                    phys = physical_optimizer.optimize(alt)
+                if phys.cost_total != cheapest[alt]:
+                    raise OptimizationError(
+                        f"group memo costed {signature(alt)} at "
+                        f"{cheapest[alt]!r}, the tree-level search at "
+                        f"{phys.cost_total!r}"
                     )
-                    for (_, idx, alt), (_, phys) in zip(wave, costed):
-                        insort(completed, (phys.cost_total, idx, alt, phys))
-                else:
-                    _, idx, alt = heapq.heappop(frontier)
-                    with tracer.span(
-                        "optimizer.alternative", category="optimizer"
-                    ):
-                        phys = physical_optimizer.optimize(alt)
-                    insort(completed, (phys.cost_total, idx, alt, phys))
+                ranked.append(RankedPlan(len(ranked) + 1, alt, phys))
         t2 = clock()
-        ranked = [
-            RankedPlan(rank=i + 1, body=alt, physical=phys)
-            for i, (_, _, alt, phys) in enumerate(completed[:k])
-        ]
         stats = SearchStats(
-            search="guided",
-            expanded=expanded,
-            costed=len(completed),
-            pruned=len(frontier),
-            bounds_computed=len(shared_memo.bounds) - bounds_before,
-            estimate_calls=estimator.estimate_calls,
+            "guided", expanded, len(ranked), expanded - len(ranked),
+            physical_optimizer.tables_computed, estimator.estimate_calls,
         )
         return ranked, stats, t1 - t0, t2 - t1
 
-    def _expand(self, flow: Node, memo: Memo) -> Iterator[Node]:
-        """Candidate stream for the guided search, in discovery order.
+    def _in_eager_order(
+        self, flow: Node, memo: Memo, cheapest: dict, order: list[Node], k: int
+    ) -> list[Node]:
+        """The ``k`` cheapest of ``order`` (sorted by cost), ranked as
+        eager's stable sort ranks them.
 
-        Without sampling the closure is never materialized: candidates
-        stream straight from :func:`iter_flows` (reusing — and growing —
-        the memo's persistent neighbor cache), unless a prior eager call
-        already cached the closure tuple.  With ``max_alternatives`` the
-        deterministic reservoir sample is used, identical to eager's.
+        Eager orders by ``(cost, discovery index)``.  The index only
+        matters between trees of float-equal cost, among the first ``k``
+        or straddling rank ``k``; only then is the closure streamed, and
+        only until every tied tree has been seen.
         """
-        if self.max_alternatives is None:
-            cached = memo.closures.get(flow)
-            if cached is not None:
-                return iter(cached)
-            return iter_flows(flow, self.ctx, neighbor_memo=memo.neighbors)
-        return iter(self._candidates(flow, memo))
+        if len(order) > k:
+            cut = cheapest[order[k - 1]]
+            order = [alt for alt in order if cheapest[alt] <= cut]
+        seen = Counter(cheapest[alt] for alt in order)
+        tied = {alt for alt in order if seen[cheapest[alt]] > 1}
+        if tied:
+            index: dict[Node, int] = {}
+            closure = memo.closures.get(flow) or iter_flows(
+                flow, self.ctx, neighbor_memo=memo.neighbors
+            )
+            for idx, alt in enumerate(closure):
+                if alt in tied:
+                    index[alt] = idx
+                    if len(index) == len(tied):
+                        break
+            order.sort(key=lambda alt: (cheapest[alt], index.get(alt, 0)))
+        return order[:k]
 
     def _candidates(self, flow: Node, memo: Memo | None) -> tuple[Node, ...]:
         """The (possibly sampled) candidate tuple, cached in the memo.
@@ -538,10 +506,7 @@ class Optimizer:
         return sampled
 
     def _reservoir(
-        self,
-        flow: Node,
-        limit: int,
-        neighbor_memo: dict[Node, tuple[Node, ...]] | None,
+        self, flow: Node, limit: int, neighbor_memo: dict | None
     ) -> tuple[Node, ...]:
         """Deterministic sample drawn *during* expansion (Algorithm R).
 

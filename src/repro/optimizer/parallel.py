@@ -207,9 +207,7 @@ class _Decoder:
     def _adopt_est(self, node: Node, est: EstStats) -> None:
         est_cache = self.memo.est_cache
         if node not in est_cache:
-            # Plain dict write; registration is deferred (see Memo.adopt).
-            dict.__setitem__(est_cache, node, est)
-            self.memo._pending.append(node)
+            est_cache[node] = est
 
     def absorb(self, payload) -> list[tuple[int, PhysNode]]:
         """Merge one worker payload; returns the resolved root options."""
@@ -241,8 +239,7 @@ class _Decoder:
                         partitioning=self._partitioning(parts),
                     )
                 )
-            table[node] = tuple(decoded)
-            memo._pending.append(node)
+            memo.store(node, tuple(decoded))
         for pid, est_triple in est_only:
             self._adopt_est(registry[pid], EstStats(*est_triple))
         return [

@@ -24,12 +24,19 @@ additionally apply an exact branch-and-bound cut: once every achievable
 output partitioning has an option, child combinations whose summed
 subtree costs cannot beat any kept option are skipped without generating
 their physical variants.
+
+Guided planning runs the same dynamic program per *cell* of equivalent
+sub-flows instead of per tree (:meth:`PhysicalOptimizer.cell_options`),
+keeping the k cheapest trees per option bucket, on the same planners.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from itertools import product
+from operator import attrgetter
 
 from ..core.errors import OptimizationError
 from ..core.operators import (
@@ -41,16 +48,22 @@ from ..core.operators import (
     ReduceOp,
     Sink,
     Source,
+    UdfOperator,
 )
 from ..core.plan import Node
 from ..core.schema import Attribute
 from .cardinality import CardinalityEstimator, EstStats
 from .context import PlanContext
 from .cost import CostParams
-from .memo import Memo
+from .memo import Cell, Memo
 
 Partitioning = frozenset[frozenset[Attribute]]
 RANDOM: Partitioning = frozenset()
+#: One cell's options: ``(partitioning, estimated rows, pinned tree or
+#: None)`` -> (options over distinct logical trees, cheapest first; the
+#: cheapest cost of an option the table leaves out, ``inf`` if none).
+CellTable = dict[tuple, tuple[tuple["PhysNode", ...], float]]
+_cost_total = attrgetter("cost_total")
 
 
 class ShipKind(enum.Enum):
@@ -189,12 +202,12 @@ class PhysicalOptimizer:
         self.ctx = ctx
         self.est = estimator
         self.params = params
-        # Memo of the Volcano search: interned logical sub-plan -> pruned
-        # physical options, shared across every alternative this optimizer
-        # instance is asked to plan.  A caller-provided memo additionally
-        # shares entries across optimizer instances, feedback rounds (via
-        # dirty-spine invalidation), and worker processes.
+        # The Volcano memo, shared across every alternative this instance
+        # plans; a caller-provided one also shares entries across
+        # instances, feedback rounds (invalidation) and worker processes.
         self._memo = memo if memo is not None else Memo(op_names=ctx.op_names)
+        #: Cell option tables this instance computed (not found in the memo).
+        self.tables_computed = 0
 
     # -- public ------------------------------------------------------------
 
@@ -203,9 +216,7 @@ class PhysicalOptimizer:
         return self._memo
 
     def optimize(self, body: Node) -> PhysNode:
-        options = self._options(body)
-        best = min(options, key=lambda p: p.cost_total)
-        return best
+        return min(self._options(body), key=_cost_total)
 
     # -- option generation -----------------------------------------------------
 
@@ -228,15 +239,16 @@ class PhysicalOptimizer:
                            child.partitioning)
                 for child in self._options(node.only_child)
             )
-        if isinstance(op, MapOp):
-            return self._map_options(node)
-        if isinstance(op, ReduceOp):
-            return self._reduce_options(node)
-        if isinstance(op, (MatchOp, CoGroupOp, CrossOp)):
-            return self._binary_options(node)
-        raise OptimizationError(f"cannot plan {op!r}")  # pragma: no cover
+        variants = self._planner(op, self.est.estimate(node))
+        if op.arity == 1:
+            return self._prune(
+                option
+                for child in self._options(node.only_child)
+                for option in variants(node, child)
+            )
+        return self._binary_options(node, variants)
 
-    def _binary_options(self, node: Node) -> tuple[PhysNode, ...]:
+    def _binary_options(self, node: Node, variants) -> tuple[PhysNode, ...]:
         """Enumerate child-option combinations with branch-and-bound.
 
         ``cost_total`` of any option is at least the summed costs of its
@@ -245,15 +257,6 @@ class PhysicalOptimizer:
         expensive kept option cannot improve any bucket (replacement is
         strict-<) and is skipped before its variants are generated.
         """
-        op = node.op
-        if isinstance(op, MatchOp):
-            variants = self._match_planner(node)
-        elif isinstance(op, CrossOp):
-            variants = self._cross_planner(node)
-        elif isinstance(op, CoGroupOp):
-            variants = self._cogroup_planner(node)
-        else:  # pragma: no cover - defensive
-            raise OptimizationError(f"cannot plan {op!r}")
         lefts = self._options(node.children[0])
         rights = self._options(node.children[1])
         buckets = self._achievable_partitionings(node, lefts, rights)
@@ -266,7 +269,7 @@ class PhysicalOptimizer:
                     and left.cost_total + right.cost_total >= threshold
                 ):
                     continue
-                for option in variants(left, right):
+                for option in variants(node, left, right):
                     current = best.get(option.partitioning)
                     if current is None or option.cost_total < current.cost_total:
                         best[option.partitioning] = option
@@ -275,10 +278,7 @@ class PhysicalOptimizer:
         return tuple(best.values())
 
     def _achievable_partitionings(
-        self,
-        node: Node,
-        lefts: tuple[PhysNode, ...],
-        rights: tuple[PhysNode, ...],
+        self, node: Node, lefts: tuple[PhysNode, ...], rights: tuple[PhysNode, ...]
     ) -> frozenset[Partitioning]:
         """Every output partitioning any child combination could produce."""
         op = node.op
@@ -299,14 +299,106 @@ class PhysicalOptimizer:
                     out.add(_keep_partitionings(child.partitioning, writes))
         return frozenset(out)
 
-    def _prune(self, options: list[PhysNode]) -> tuple[PhysNode, ...]:
-        """Keep the cheapest option per partitioning property."""
+    def _prune(self, options) -> tuple[PhysNode, ...]:
+        """Keep the cheapest option per partitioning property (first wins)."""
         best: dict[Partitioning, PhysNode] = {}
         for option in options:
             current = best.get(option.partitioning)
             if current is None or option.cost_total < current.cost_total:
                 best[option.partitioning] = option
         return tuple(best.values())
+
+    # -- cell-level option tables (guided planning) ----------------------------
+
+    def cell_options(self, cell: Cell) -> CellTable:
+        """The option table of one equivalence cell, computed once.
+
+        Options are bucketed by everything an enclosing operator's
+        estimate and cost can observe about its input: the partitioning,
+        the exact estimated row count, and — when the estimator pins an
+        observation to the option's logical tree — the tree itself (width
+        follows from the cell's attribute set).  Within a bucket options
+        differ only in their logical tree and ``cost_total``, so the ``k``
+        (``memo.options_k``) cheapest distinct trees, plus everything
+        tying the k-th, are all an enclosing top-``k`` plan can use —
+        up to rounding: a dearer option can *tie* a kept one once the
+        enclosing costs are added, so each bucket also carries the
+        cheapest cost it left out, rounded upwards sum by sum.
+        Every option is a concrete :class:`PhysNode` over a concrete
+        interned tree, costed by the same planners as :meth:`_options`,
+        so its cost is the float the tree-level search computes for it.
+        """
+        table = self._memo.cell_options.get(cell)
+        if table is None:
+            table = self._compute_cell(cell, self._memo.options_k)
+            self._memo.store_cell(cell, table)
+            self.tables_computed += 1
+        return table
+
+    def _compute_cell(self, cell: Cell, k: int) -> CellTable:
+        found: dict[tuple, _Bucket] = {}
+        planners = {}
+
+        def bucket_of(option: PhysNode, pin: Node | None) -> _Bucket:
+            key = (option.partitioning, option.est.rows, pin)
+            bucket = found.get(key)
+            if bucket is None:
+                bucket = found[key] = _Bucket(k)
+            return bucket
+
+        for expr in cell.exprs:
+            op = expr.op
+            if isinstance(op, Source):
+                option = self._source(expr.rep)
+                bucket_of(option, expr.rep).add(option)
+                continue
+            if not isinstance(op, UdfOperator):
+                raise OptimizationError(f"cannot plan {op!r}")
+            tables = [self.cell_options(child) for child in expr.children]
+            for inputs in product(*(table.items() for table in tables)):
+                # Every option of one input bucket presents the same rows,
+                # bytes and partitioning, so the estimate and each
+                # variant's strategy, own cost and output partitioning are
+                # those planned for the bucket heads; other picks differ
+                # in their children's summed cost only.  That takes
+                # observations to be subtree-closed: a tree over an
+                # unpinned input is unpinned, a pinned bucket one tree.
+                options, losts = zip(*(kept for _, kept in inputs))
+                heads = tuple(kept[0] for kept in options)
+                head = Node(op, tuple(o.logical for o in heads))
+                est = self.est.estimate(head)
+                pinned = self.est.observed(head)
+                if pinned and any(key[2] is None for key, _ in inputs):
+                    raise OptimizationError(
+                        f"{op.name}: observed over an unobserved input — "
+                        "the statistics store is not subtree-closed"
+                    )
+                planner = planners.get((op, est))
+                if planner is None:
+                    planner = planners[op, est] = self._planner(op, est)
+                planned = [
+                    (variant, bucket_of(variant, head if pinned else None))
+                    for variant in planner(head, *heads)
+                ]
+                picked, lost = _cheapest_combinations(options, losts, k)
+                for variant, bucket in planned:
+                    bucket.add(variant)
+                    bucket.lost = min(bucket.lost, variant.cost_self + lost)
+                for below, picks in picked:
+                    node = None
+                    for variant, bucket in planned:
+                        if not bucket.admits(variant.cost_self + below):
+                            continue
+                        if node is None:
+                            node = Node(op, tuple(o.logical for o in picks))
+                        bucket.add(
+                            self._wrap(
+                                node, est, variant.ships, variant.local,
+                                variant.build_side, picks, variant.cost_self,
+                                variant.partitioning,
+                            )
+                        )
+        return {key: (b.options(), b.lost) for key, b in found.items()}
 
     # -- helpers --------------------------------------------------------------
 
@@ -323,19 +415,12 @@ class PhysicalOptimizer:
     ) -> PhysNode:
         total = cost_self + sum(c.cost_total for c in children)
         return PhysNode(
-            logical=node,
-            ships=ships,
-            local=local,
-            build_side=build_side,
-            children=children,
-            est=est,
-            cost_self=cost_self,
-            cost_total=total,
-            partitioning=partitioning,
+            node, ships, local, build_side, children, est, cost_self, total,
+            partitioning,
         )
 
-    def _udf_cpu(self, node: Node, est: EstStats) -> float:
-        hint = self.est.hints_for(node.op.name)
+    def _udf_cpu(self, op: UdfOperator, est: EstStats) -> float:
+        hint = self.est.hints_for(op.name)
         params = self.params
         units = est.calls * hint.cpu_per_call + est.rows * params.record_overhead
         return params.cpu_seconds(units)
@@ -359,96 +444,78 @@ class PhysicalOptimizer:
             node, est, (), LocalStrategy.SCAN, None, (), cost, RANDOM
         )
 
-    def _map_options(self, node: Node) -> tuple[PhysNode, ...]:
-        writes = self.ctx.props(node.op).writes
-        est = self.est.estimate(node)
-        cost = self._udf_cpu(node, est)
-        # Pick the cheapest child per output partitioning *before*
-        # constructing any PhysNode: ``cost + child.cost_total`` is
-        # exactly the ``cost_total`` _wrap would compute (summing a
-        # 1-tuple adds a float-exact 0.0), and strict-< replacement in
-        # child order reproduces _prune's first-wins tie-break.
-        chosen: dict[Partitioning, tuple[float, PhysNode]] = {}
-        for child in self._options(node.only_child):
-            parts = _keep_partitionings(child.partitioning, writes)
-            total = cost + child.cost_total
-            current = chosen.get(parts)
-            if current is None or total < current[0]:
-                chosen[parts] = (total, child)
-        return tuple(
-            self._wrap(
-                node,
-                est,
-                _FORWARD_SHIPS,
-                LocalStrategy.PIPELINE,
-                None,
-                (child,),
-                cost,
-                parts,
-            )
-            for parts, (_, child) in chosen.items()
-        )
+    def _planner(self, op: UdfOperator, est: EstStats):
+        """The operator's physical variants with per-operator terms hoisted.
 
-    def _reduce_options(self, node: Node) -> tuple[PhysNode, ...]:
-        op = node.op
-        assert isinstance(op, ReduceOp)
+        ``est`` is the estimate of the logical node(s) to plan; the
+        returned ``variants(node, *child_options)`` lists that node's
+        physical alternatives over one combination of child options.
+        Nothing in it reads the node beyond recording it as ``logical``,
+        so one planner serves every tree of a cell that presents the same
+        estimate.
+        """
+        if isinstance(op, MapOp):
+            return self._map_planner(op, est)
+        if isinstance(op, ReduceOp):
+            return self._reduce_planner(op, est)
+        if isinstance(op, MatchOp):
+            return self._match_planner(op, est)
+        if isinstance(op, CrossOp):
+            return self._cross_planner(op, est)
+        if isinstance(op, CoGroupOp):
+            return self._cogroup_planner(op, est)
+        raise OptimizationError(f"cannot plan {op!r}")  # pragma: no cover
+
+    def _map_planner(self, op: MapOp, est: EstStats):
+        writes = self.ctx.props(op).writes
+        cost = self._udf_cpu(op, est)
+
+        def variants(node: Node, child: PhysNode) -> list[PhysNode]:
+            parts = _keep_partitionings(child.partitioning, writes)
+            return [
+                self._wrap(node, est, _FORWARD_SHIPS, LocalStrategy.PIPELINE,
+                           None, (child,), cost, parts)
+            ]
+
+        return variants
+
+    def _reduce_planner(self, op: ReduceOp, est: EstStats):
         params = self.params
         key = op.key_attrs()
         key_tuple = op.key_attr_tuple()
-        est = self.est.estimate(node)
-        udf_cost = self._udf_cpu(node, est)
+        udf_cost = self._udf_cpu(op, est)
         parts = frozenset({key})
-        # Every option lands in the same partitioning bucket, so compare
-        # ``cost + child.cost_total`` (the exact cost_total _wrap would
-        # compute) across children and construct only the winner; strict-<
-        # in child order reproduces _prune's first-wins tie-break.
-        best: tuple[float, float, bool, PhysNode] | None = None
-        for child in self._options(node.only_child):
+
+        def variants(node: Node, child: PhysNode) -> list[PhysNode]:
             in_est = child.est
             cost = 0.0
-            forward = _compatible(child.partitioning, key)
-            if not forward:
+            ship = _FORWARD
+            if not _compatible(child.partitioning, key):
+                ship = Ship(ShipKind.PARTITION, key_tuple)
                 cost += params.net_seconds(params.partition_bytes(in_est.bytes))
             cost += params.cpu_seconds(params.sort_units(in_est.rows))
             cost += params.disk_seconds(params.spill_bytes(in_est.bytes))
             cost += udf_cost
-            total = cost + child.cost_total
-            if best is None or total < best[0]:
-                best = (total, cost, forward, child)
-        if best is None:  # pragma: no cover - sources guarantee options
-            return ()
-        _, cost, forward, child = best
-        ship = _FORWARD if forward else Ship(ShipKind.PARTITION, key_tuple)
-        return (
-            self._wrap(
-                node,
-                est,
-                (ship,),
-                LocalStrategy.SORT_GROUP,
-                None,
-                (child,),
-                cost,
-                parts,
-            ),
-        )
+            return [
+                self._wrap(node, est, (ship,), LocalStrategy.SORT_GROUP,
+                           None, (child,), cost, parts)
+            ]
 
-    def _match_planner(self, node: Node):
-        """Per-logical-node invariants hoisted; returns a per-pair generator."""
-        op = node.op
-        assert isinstance(op, MatchOp)
+        return variants
+
+    def _match_planner(self, op: MatchOp, est: EstStats):
         params = self.params
         writes = self.ctx.props(op).writes
         lkey_tuple = op.left_key_attrs()
         rkey_tuple = op.right_key_attrs()
         lkey = frozenset(lkey_tuple)
         rkey = frozenset(rkey_tuple)
-        est = self.est.estimate(node)
-        udf_cost = self._udf_cpu(node, est)
+        udf_cost = self._udf_cpu(op, est)
         # After a partitioned join only the join keys are valid partitioning
         # properties: prior partitionings were destroyed by the shuffle.
         repart_parts = _keep_partitionings(frozenset({lkey, rkey}), writes)
 
-        def variants(left: PhysNode, right: PhysNode) -> list[PhysNode]:
+        def variants(node: Node, left: PhysNode, right: PhysNode) -> list[PhysNode]:
             out: list[PhysNode] = []
 
             # (a) repartition both sides, hash join (build on the smaller side)
@@ -505,15 +572,14 @@ class PhysicalOptimizer:
 
         return variants
 
-    def _cross_planner(self, node: Node):
+    def _cross_planner(self, op: CrossOp, est: EstStats):
         params = self.params
-        writes = self.ctx.props(node.op).writes
-        est = self.est.estimate(node)
+        writes = self.ctx.props(op).writes
         pairs = est.calls
-        udf_cost = self._udf_cpu(node, est)
+        udf_cost = self._udf_cpu(op, est)
         pair_cost = params.cpu_seconds(pairs * params.cross_unit)
 
-        def variants(left: PhysNode, right: PhysNode) -> list[PhysNode]:
+        def variants(node: Node, left: PhysNode, right: PhysNode) -> list[PhysNode]:
             out: list[PhysNode] = []
             sides = (left, right)
             for build_side in (0, 1):
@@ -535,20 +601,17 @@ class PhysicalOptimizer:
 
         return variants
 
-    def _cogroup_planner(self, node: Node):
-        op = node.op
-        assert isinstance(op, CoGroupOp)
+    def _cogroup_planner(self, op: CoGroupOp, est: EstStats):
         params = self.params
         writes = self.ctx.props(op).writes
         lkey_tuple = op.left_key_attrs()
         rkey_tuple = op.right_key_attrs()
         lkey = frozenset(lkey_tuple)
         rkey = frozenset(rkey_tuple)
-        est = self.est.estimate(node)
-        udf_cost = self._udf_cpu(node, est)
+        udf_cost = self._udf_cpu(op, est)
         parts = _keep_partitionings(frozenset({lkey, rkey}), writes)
 
-        def variants(left: PhysNode, right: PhysNode) -> list[PhysNode]:
+        def variants(node: Node, left: PhysNode, right: PhysNode) -> list[PhysNode]:
             cost = 0.0
             ships = []
             for child, key, key_tuple in (
@@ -573,6 +636,89 @@ class PhysicalOptimizer:
         return variants
 
 
+class _Bucket:
+    """The ``k`` cheapest options over distinct logical trees, plus every
+    option tying the k-th, of those offered so far."""
+
+    __slots__ = ("k", "best", "cut", "limit", "lost")
+
+    def __init__(self, k: int) -> None:
+        self.k = k
+        self.best: dict[Node, PhysNode] = {}
+        #: The k-th cheapest cost at the last trim: a dearer offer is lost.
+        self.cut = math.inf
+        self.limit = 2 * k
+        #: The cheapest cost left out: trimmed, refused, or never offered
+        #: (cut by the caller, or over an option an input bucket left out).
+        self.lost = math.inf
+
+    def admits(self, cost_total: float) -> bool:
+        """Could an option of this cost still be among the k cheapest?"""
+        if len(self.best) >= self.limit:
+            self.options()
+        if cost_total > self.cut:
+            self.lost = min(self.lost, cost_total)
+        return cost_total <= self.cut
+
+    def add(self, option: PhysNode) -> None:
+        current = self.best.get(option.logical)
+        if current is None or option.cost_total < current.cost_total:
+            self.best[option.logical] = option
+
+    def options(self) -> tuple[PhysNode, ...]:
+        """Trim to the k cheapest and ties (stable: first offered first)."""
+        kept = sorted(self.best.values(), key=_cost_total)
+        if len(kept) >= self.k:
+            self.cut = kept[self.k - 1].cost_total
+            dropped = [o for o in kept if o.cost_total > self.cut]
+            if dropped:
+                self.lost = min(self.lost, dropped[0].cost_total)
+                del kept[-len(dropped):]
+        self.best = {o.logical: o for o in kept}
+        self.limit = 2 * max(self.k, len(kept))
+        return tuple(kept)
+
+
+def _cheapest_combinations(
+    inputs: tuple[tuple[PhysNode, ...], ...], losts: tuple[float, ...], k: int
+) -> tuple[list[tuple[float, tuple[PhysNode, ...]]], float]:
+    """Child-option combinations beyond the bucket heads that can yield a
+    k-cheapest parent, each with its summed child cost (added up as
+    ``_wrap`` adds it), and the smallest such sum among the combinations
+    left out: those cut here and those over an option an input bucket
+    left out (``losts``).
+
+    Inputs are sorted by cost.  A unary operator passes its whole input
+    bucket through.  A binary operator cuts at the k-th smallest summed
+    child cost — :meth:`PhysicalOptimizer._binary_options`' exact bound
+    generalised to k: a variant adds the same own cost to every pair of
+    one bucket pair.  The k-th sum is found among the pairs ``(i, j)``
+    with ``(i + 1) * (j + 1) <= k`` (any other has at least ``k`` pairs
+    no dearer), in O(k log k) instead of the k-squared product.
+    """
+    if len(inputs) == 1:
+        return [(o.cost_total, (o,)) for o in inputs[0][1:]], losts[0]
+    lefts, rights = inputs
+    lost = min(losts[0] + rights[0].cost_total, lefts[0].cost_total + losts[1])
+    if len(lefts) == len(rights) == 1:
+        return [], lost
+    sums = sorted(
+        left.cost_total + rights[j].cost_total
+        for i, left in enumerate(lefts[:k])
+        for j in range(min(len(rights), k // (i + 1)))
+    )
+    cut = sums[min(k, len(sums)) - 1]
+    picked = []
+    for left in lefts:
+        for right in rights:
+            below = left.cost_total + right.cost_total
+            if below > cut:
+                lost = min(lost, below)
+                break
+            picked.append((below, (left, right)))
+    return picked[1:], lost  # the heads pair up first: it is the cheapest
+
+
 def optimize_physical(
     body: Node,
     ctx: PlanContext,
@@ -581,230 +727,3 @@ def optimize_physical(
 ) -> PhysNode:
     """Choose shipping and local strategies for one logical flow."""
     return PhysicalOptimizer(ctx, estimator, params).optimize(body)
-
-
-# ---------------------------------------------------------------------------
-# Admissible lower bounds (guided search)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class BoundEntry:
-    """Lower-bound summary of one logical sub-plan.
-
-    ``stats`` are the node's bound cardinalities — numerically identical
-    to :meth:`CardinalityEstimator.estimate` (they run the same formulas
-    via :meth:`~CardinalityEstimator.bound_stats_via`) but cached in the
-    memo's bound table so computing bounds never spends estimate-cache
-    misses.  ``possible`` is the union of every partition group any
-    physical option of this subtree could output — a superset, so a key
-    no possible group satisfies proves every option must repartition.
-    ``cost_lb`` is an admissible total-cost bound: ``cost_lb <=
-    min(option.cost_total for option in options(node))``.
-    """
-
-    stats: EstStats
-    possible: frozenset[frozenset[Attribute]]
-    cost_lb: float
-
-
-class PlanLowerBound:
-    """Admissible cheapest-possible-cost bounds over logical sub-plans.
-
-    Mirrors each planner of :class:`PhysicalOptimizer`, keeping every
-    cost term that *all* physical options of a node must pay and dropping
-    only the terms that depend on which child option is chosen:
-
-    * cardinalities, widths and UDF CPU are exact (bound stats equal the
-      estimates by construction);
-    * network terms for partitioned Reduce/Match/CoGroup inputs are
-      charged only when no *possible* child partition group is compatible
-      with the key — then every option genuinely repartitions;
-    * Match/Cross take the minimum over their repartition/broadcast
-      variants, each variant itself relaxed as above.
-
-    Every cost formula is monotone non-decreasing in the terms kept, so
-    each node's bound is at most any option's ``cost_self`` plus its
-    children's bounds; by induction ``bound(root)`` never exceeds the
-    cheapest physical plan's true cost.  Entries are memoized in
-    ``memo.bounds`` (dirty-spine invalidated, since bounds depend on the
-    subtree's hints and statistics exactly like estimates do).
-    """
-
-    def __init__(
-        self,
-        ctx: PlanContext,
-        estimator: CardinalityEstimator,
-        params: CostParams,
-        memo: Memo,
-    ) -> None:
-        self.ctx = ctx
-        self.est = estimator
-        self.params = params
-        self._bounds = memo.bounds
-        # Bound writes defer dependency registration (the adopt() pattern):
-        # invalidate()/dependents_of() drain this before consulting the
-        # index, so eviction stays exact while the per-entry hot path
-        # skips the op-names walk.
-        self._pending = memo._pending
-        # Per-operator invariants (join keys as frozensets, write-filtered
-        # repartition properties): one operator object appears in
-        # thousands of distinct nodes, so these are hoisted per op.
-        self._op_keys: dict = {}
-
-    def bound(self, node: Node) -> float:
-        """Admissible lower bound on the node's cheapest physical cost."""
-        cached = self._bounds.get(node)
-        if cached is None:
-            cached = self._compute(node)
-            self._bounds[node] = cached
-            self._pending.append(node)
-        return cached.cost_lb
-
-    def entry(self, node: Node) -> BoundEntry:
-        cached = self._bounds.get(node)
-        if cached is None:
-            cached = self._compute(node)
-            self._bounds[node] = cached
-            self._pending.append(node)
-        return cached
-
-    def _udf_cpu(self, node: Node, est: EstStats) -> float:
-        hint = self.est.hints_for(node.op.name)
-        params = self.params
-        units = est.calls * hint.cpu_per_call + est.rows * params.record_overhead
-        return params.cpu_seconds(units)
-
-    def _compute(self, node: Node) -> BoundEntry:
-        op = node.op
-        params = self.params
-        entries = tuple(self.entry(child) for child in node.children)
-        stats_of = {
-            child: entry.stats for child, entry in zip(node.children, entries)
-        }.__getitem__
-        est = self.est.bound_stats_via(node, stats_of)
-        if isinstance(op, Source):
-            if isinstance(op, MaterializedSource):
-                # Exact: the single option is free and pre-partitioned.
-                return BoundEntry(est, frozenset(op.partitioning), 0.0)
-            return BoundEntry(est, RANDOM, params.disk_seconds(est.bytes))
-        if isinstance(op, Sink):
-            child = entries[0]
-            return BoundEntry(est, child.possible, child.cost_lb)
-        writes = self.ctx.props(op).writes
-        if isinstance(op, MapOp):
-            child = entries[0]
-            cost = self._udf_cpu(node, est)
-            return BoundEntry(
-                est,
-                _keep_partitionings(child.possible, writes),
-                cost + child.cost_lb,
-            )
-        if isinstance(op, ReduceOp):
-            child = entries[0]
-            key = op.key_attrs()
-            cost = 0.0
-            if not _compatible(child.possible, key):
-                cost += params.net_seconds(params.partition_bytes(child.stats.bytes))
-            cost += params.cpu_seconds(params.sort_units(child.stats.rows))
-            cost += params.disk_seconds(params.spill_bytes(child.stats.bytes))
-            cost += self._udf_cpu(node, est)
-            return BoundEntry(est, frozenset({key}), cost + child.cost_lb)
-        if isinstance(op, MatchOp):
-            left, right = entries
-            keys = self._op_keys.get(op)
-            if keys is None:
-                keys = (
-                    frozenset(op.left_key_attrs()),
-                    frozenset(op.right_key_attrs()),
-                    _keep_partitionings(
-                        frozenset(
-                            {
-                                frozenset(op.left_key_attrs()),
-                                frozenset(op.right_key_attrs()),
-                            }
-                        ),
-                        writes,
-                    ),
-                )
-                self._op_keys[op] = keys
-            lkey, rkey, repart_possible = keys
-            sides = (left, right)
-            # (a) repartition hash join: per-side net only when no possible
-            # child partitioning is compatible (then every option pays it);
-            # build/probe/spill terms are exact in the child estimates.
-            self_lb = 0.0
-            for child, key in ((left, lkey), (right, rkey)):
-                if not _compatible(child.possible, key):
-                    self_lb += params.net_seconds(
-                        params.partition_bytes(child.stats.bytes)
-                    )
-            build = 0 if left.stats.bytes <= right.stats.bytes else 1
-            probe = 1 - build
-            self_lb += params.cpu_seconds(
-                sides[build].stats.rows * params.build_unit
-                + sides[probe].stats.rows * params.probe_unit
-            )
-            self_lb += params.disk_seconds(
-                params.spill_bytes(sides[build].stats.bytes)
-            )
-            # (b)/(c) broadcast variants are exact in the child estimates.
-            for build_side in (0, 1):
-                b = sides[build_side].stats
-                p = sides[1 - build_side].stats
-                cost = params.net_seconds(params.broadcast_bytes(b.bytes))
-                cost += params.cpu_seconds_single(b.rows * params.build_unit)
-                cost += params.cpu_seconds(p.rows * params.probe_unit)
-                cost += params.disk_seconds(
-                    params.spill_bytes(b.bytes * params.degree)
-                )
-                if cost < self_lb:
-                    self_lb = cost
-            possible = repart_possible | _keep_partitionings(
-                left.possible | right.possible, writes
-            )
-            return BoundEntry(
-                est,
-                possible,
-                self_lb
-                + self._udf_cpu(node, est)
-                + left.cost_lb
-                + right.cost_lb,
-            )
-        if isinstance(op, CrossOp):
-            left, right = entries
-            self_lb = min(
-                params.net_seconds(params.broadcast_bytes(side.stats.bytes))
-                for side in (left, right)
-            )
-            self_lb += params.cpu_seconds(est.calls * params.cross_unit)
-            self_lb += self._udf_cpu(node, est)
-            possible = _keep_partitionings(left.possible | right.possible, writes)
-            return BoundEntry(
-                est, possible, self_lb + left.cost_lb + right.cost_lb
-            )
-        if isinstance(op, CoGroupOp):
-            left, right = entries
-            keys = self._op_keys.get(op)
-            if keys is None:
-                keys = (
-                    frozenset(op.left_key_attrs()),
-                    frozenset(op.right_key_attrs()),
-                )
-                self._op_keys[op] = keys
-            lkey, rkey = keys
-            cost = 0.0
-            for child, key in ((left, lkey), (right, rkey)):
-                if not _compatible(child.possible, key):
-                    cost += params.net_seconds(
-                        params.partition_bytes(child.stats.bytes)
-                    )
-                cost += params.cpu_seconds(params.sort_units(child.stats.rows))
-                cost += params.disk_seconds(params.spill_bytes(child.stats.bytes))
-            cost += self._udf_cpu(node, est)
-            return BoundEntry(
-                est,
-                _keep_partitionings(frozenset({lkey, rkey}), writes),
-                cost + left.cost_lb + right.cost_lb,
-            )
-        raise OptimizationError(f"cannot bound {op!r}")  # pragma: no cover

@@ -14,7 +14,7 @@ that state hot and serves it concurrently:
   garbage-collected once no live tenant reads them) — the same exact
   invalidation contract the adaptive loop uses.
 * **Per-tenant warm memos.**  One memo per (tenant, workload, mode,
-  scale) plan space carries options/estimates/bounds across requests, so
+  scale) plan space carries cells, options and estimates across requests, so
   a cache *miss* after an invalidation still re-plans incrementally.
 * **A shared plan cache** keyed on the full planning identity —
   ``(workload, mode, scale, top_k, statistics fingerprint)`` where the

@@ -121,6 +121,37 @@ def test_invalidate_unknown_op_is_noop(workloads):
     assert len(memo) == size
 
 
+def test_size_and_evictions_count_the_group_memo_tables(workloads):
+    """``size()`` (the server's footprint figure) and ``invalidate()``'s
+    eviction count cover the per-cell option tables; the cells themselves
+    are legality only and survive."""
+    w = workloads["tpch_q7"]
+    opt = Optimizer(
+        w.catalog, w.hints, AnnotationMode.SCA, w.params,
+        search="guided", top_k=3,
+    )
+    memo = opt.new_memo()
+    opt.optimize(w.plan, memo=memo)
+    assert memo.cell_options
+    assert memo.size() == (
+        len(memo.table) + len(memo.cell_options) + len(memo.est_cache)
+    )
+    cells = set(memo.cell_options)
+    dirty_cells = {c for c in cells if "gamma_revenue" in c.names}
+    trees = set(memo.table) | set(memo.est_cache)
+    dirty_trees = {t for t in trees if "gamma_revenue" in opt.ctx.op_names(t)}
+    assert dirty_cells and dirty_cells != cells
+    exprs = len(memo.exprs)
+    assert memo.invalidate({"gamma_revenue"}) == len(dirty_cells) + len(dirty_trees)
+    assert set(memo.cell_options) == cells - dirty_cells
+    assert set(memo.table) | set(memo.est_cache) == trees - dirty_trees
+    assert memo.size() == (
+        len(memo.table) + len(memo.cell_options) + len(memo.est_cache)
+    )
+    assert len(memo.exprs) == exprs and memo.classes
+    assert memo.invalidate({"gamma_revenue"}) == 0
+
+
 # -- dirty-spine re-optimization parity ---------------------------------------
 
 
