@@ -39,7 +39,7 @@ SUFFIX = {"sqlite": ".sqlite", "json": ".json"}
 
 
 def _percentile(samples: list[float], q: float) -> float:
-    """Nearest-rank percentile (the soak methodology's convention)."""
+    """Nearest-rank percentile."""
     ordered = sorted(samples)
     rank = max(0, math.ceil(q / 100.0 * len(ordered)) - 1)
     return ordered[rank]

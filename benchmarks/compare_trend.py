@@ -17,7 +17,7 @@ Usage::
     python benchmarks/compare_trend.py                       # gate all known results
     python benchmarks/compare_trend.py results/midquery.json # gate one
     python benchmarks/compare_trend.py --write-baselines     # refresh snapshots
-    python benchmarks/compare_trend.py --write-baselines results/soak.json  # one
+    python benchmarks/compare_trend.py --write-baselines results/serve.json  # one
 
 Run from anywhere; paths resolve relative to this file.
 """
@@ -51,19 +51,6 @@ HEADLINES: dict[str, Headline] = {
     # Memoized costing speedup on the biggest plan space: machine-relative.
     "optimizer_throughput.json": Headline(
         ("tpch_q7", "speedup"), True, "memoized vs unmemoized costing, Q7"
-    ),
-    # Peak-allocation ratio streaming vs materializing: tracemalloc-based,
-    # effectively deterministic.
-    "engine_throughput.json": Headline(
-        ("peak_memory_ratio",), True, "materializing/streaming peak bytes"
-    ),
-    # Parallel-backend soak: speedup over serial normalized by the ideal
-    # speedup min(jobs, cores) — machine-relative, so one committed
-    # baseline gates 1-core and 16-core runners alike.
-    "soak.json": Headline(
-        ("parallel_efficiency",),
-        True,
-        "soak speedup / min(engine_jobs, cores)",
     ),
     # Final-round median q-error on the headline workload: deterministic.
     "feedback_qerror.json": Headline(
@@ -183,8 +170,8 @@ def write_baselines(paths: list[Path]) -> int:
 
 def resolve(path: Path) -> Path:
     """Make explicit result paths work from any cwd: fall back to
-    resolving against this file's directory (``results/soak.json`` names
-    ``benchmarks/results/soak.json`` from the repo root too)."""
+    resolving against this file's directory (``results/serve.json`` names
+    ``benchmarks/results/serve.json`` from the repo root too)."""
     if path.exists() or path.is_absolute():
         return path
     candidate = BENCH_DIR / path

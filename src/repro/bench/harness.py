@@ -88,7 +88,6 @@ def run_experiment(
     jobs: int = 1,
     midquery: bool = False,
     switch_threshold: float = DEFAULT_SWITCH_THRESHOLD,
-    engine_jobs: int = 1,
     search: str = "eager",
     top_k: int | None = None,
     tracer=None,
@@ -116,10 +115,6 @@ def run_experiment(
     deployed pick runs that way instead and the boundary decisions land
     on the round reports.
 
-    ``engine_jobs > 1`` executes each plan's pipeline-stage partitions
-    across a fork-based worker pool; records, per-op metrics, and modeled
-    seconds are bit-identical to serial execution.
-
     ``search="guided"`` plans over the optimizer's group memo: only the
     top ``top_k`` plans (default 1) are produced — bit-identical
     to the eager prefix — so the rank-interval pick protocol degenerates
@@ -142,7 +137,7 @@ def run_experiment(
         return _run_feedback_experiment(
             workload, picks, mode, params, execute_all, feedback_rounds,
             stats_store, stats_backend, jobs, midquery, switch_threshold,
-            engine_jobs, tracer,
+            tracer,
         )
     params = params or workload.params
     optimizer = Optimizer(
@@ -157,7 +152,6 @@ def run_experiment(
         params,
         workload.true_costs,
         reuse_subtree_results=True,
-        engine_jobs=engine_jobs,
         tracer=tracer,
     )
 
@@ -194,7 +188,6 @@ def run_experiment(
             baseline=(
                 outcome.executed[0].result if outcome.executed else None
             ),
-            engine_jobs=engine_jobs,
             tracer=tracer,
         )
     return outcome
@@ -212,7 +205,6 @@ def _run_feedback_experiment(
     jobs: int = 1,
     midquery: bool = False,
     switch_threshold: float = DEFAULT_SWITCH_THRESHOLD,
-    engine_jobs: int = 1,
     tracer=None,
 ) -> ExperimentOutcome:
     """The Section 7.3 protocol driven through the adaptive feedback loop."""
@@ -228,7 +220,7 @@ def _run_feedback_experiment(
     adaptive = AdaptiveOptimizer(
         workload, store=store, mode=mode, params=params, picks=picks,
         jobs=jobs, midquery=midquery, switch_threshold=switch_threshold,
-        engine_jobs=engine_jobs, tracer=tracer,
+        tracer=tracer,
     )
     report = adaptive.run(feedback_rounds)
     final = report.final
@@ -276,9 +268,6 @@ def execute_plan(
     workload: Workload,
     plan: RankedPlan,
     params: CostParams | None = None,
-    engine_jobs: int = 1,
 ) -> ExecutionResult:
-    engine = Engine(
-        params or workload.params, workload.true_costs, engine_jobs=engine_jobs
-    )
+    engine = Engine(params or workload.params, workload.true_costs)
     return engine.execute(plan.physical, workload.data)

@@ -11,7 +11,6 @@ Usage::
     python -m repro experiment clickstream --feedback-rounds 2 --stats-store stats.sqlite
     python -m repro experiment tpch_q7 --jobs 4
     python -m repro experiment tpch_q7 --search guided --top-k 3
-    python -m repro experiment textmining --scale 400 --engine-jobs 4
     python -m repro experiment clickstream --midquery --switch-threshold 1.1
     python -m repro experiment clickstream --trace trace.json
     python -m repro trace summarize trace.json
@@ -107,7 +106,6 @@ def cmd_experiment(args) -> int:
         jobs=args.jobs,
         midquery=args.midquery,
         switch_threshold=args.switch_threshold,
-        engine_jobs=args.engine_jobs,
         search=args.search,
         top_k=args.top_k,
         tracer=tracer,
@@ -361,17 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "results are bit-identical to --jobs 1)",
             )
             p.add_argument(
-                "--engine-jobs",
-                type=_positive_int,
-                default=1,
-                metavar="N",
-                help="worker processes for partition-parallel stage "
-                "execution (fork-based; records, metrics, and modeled "
-                "seconds are bit-identical to --engine-jobs 1; falls "
-                "back to serial with a warning where fork is "
-                "unavailable)",
-            )
-            p.add_argument(
                 "--search",
                 choices=("eager", "guided"),
                 default="eager",
@@ -414,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
                 default=None,
                 metavar="PATH",
                 help="write a wall-clock trace of the run (optimizer, "
-                "engine stages/partitions incl. fork workers, feedback) "
+                "engine stages/partitions, feedback) "
                 "to PATH; format sniffed from the extension (.jsonl -> "
                 "span log, else Chrome trace-event JSON loadable in "
                 "Perfetto) unless --trace-format overrides",

@@ -48,8 +48,8 @@ class ExecutionError(ReproError):
 
 
 class ExecutionConfigError(ExecutionError, ValueError):
-    """Raised for invalid engine configuration values (non-positive worker
-    counts).  Also a :class:`ValueError`; see
+    """Raised for invalid engine configuration values (a non-positive
+    ``stream_batch_rows``).  Also a :class:`ValueError`; see
     :class:`OptimizationConfigError`.
     """
 

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 import os
-import warnings
 from dataclasses import dataclass
 
 from ..core.errors import ExecutionConfigError, ExecutionError
@@ -54,6 +53,14 @@ from ..core.operators import (
     Source,
 )
 from ..core.record import RawRecord, record_bytes
+from ..core.reference import (
+    apply_cogroup,
+    apply_cross,
+    apply_map,
+    apply_match,
+    apply_reduce,
+    group_by,
+)
 from ..obs.tracer import NOOP_TRACER, clock
 from ..optimizer.cost import CostParams
 from ..optimizer.physical import (
@@ -62,9 +69,7 @@ from ..optimizer.physical import (
     ShipKind,
     pipelineable,
 )
-from . import parallel as _pool
 from .metrics import ExecutionReport, OpMetrics
-from .parallel import ScatteredOutput, ScatterSpec
 from .partition import (
     Partitions,
     broadcast,
@@ -132,6 +137,64 @@ def _part_bytes(parts: Partitions) -> list[float]:
     return [_bytes_of(p) for p in parts]
 
 
+def run_chain_partition(
+    ops: list[tuple[str, MapOp]], rows: list[RawRecord], batch: int
+) -> tuple[list[RawRecord], list[int], list[int]]:
+    """Stream one partition through a fused Map chain in bounded batches.
+
+    Returns the collected output rows plus per-operator input/output row
+    counts — the integer facts the chain's metric arithmetic consumes.
+    """
+    count = len(ops)
+    in_rows = [0] * count
+    out_rows = [0] * count
+    collected: list[RawRecord] = []
+    for start in range(0, len(rows), batch):
+        cur = rows[start : start + batch]
+        for k, (_, op) in enumerate(ops):
+            if not cur:
+                break
+            in_rows[k] += len(cur)
+            cur = apply_map(op, cur)
+            out_rows[k] += len(cur)
+        collected.extend(cur)
+    return collected, in_rows, out_rows
+
+
+def eval_local_partition(
+    op, rows_by_input: tuple[list[RawRecord], ...], need_bytes: bool
+) -> tuple[list[RawRecord], tuple]:
+    """Evaluate one partition of a local strategy.
+
+    Returns the output rows plus the auxiliary scalars the metric
+    arithmetic needs for this partition (group/key counts, and — for
+    Reduce without precomputed sizes — the partition's byte total).
+    """
+    if isinstance(op, MapOp):
+        (rows,) = rows_by_input
+        return apply_map(op, rows), ()
+    if isinstance(op, ReduceOp):
+        (rows,) = rows_by_input
+        groups = len(group_by(rows, op.key_attr_tuple())) if rows else 0
+        result = apply_reduce(op, rows)
+        return result, (groups, _bytes_of(rows) if need_bytes else None)
+    if isinstance(op, MatchOp):
+        l_rows, r_rows = rows_by_input
+        return apply_match(op, l_rows, r_rows), ()
+    if isinstance(op, CrossOp):
+        l_rows, r_rows = rows_by_input
+        return apply_cross(op, l_rows, r_rows), ()
+    if isinstance(op, CoGroupOp):
+        l_rows, r_rows = rows_by_input
+        result = apply_cogroup(op, l_rows, r_rows)
+        keys = len(
+            set(group_by(l_rows, op.left_key_attrs()))
+            | set(group_by(r_rows, op.right_key_attrs()))
+        )
+        return result, (keys,)
+    raise ExecutionError(f"cannot execute {op!r}")
+
+
 class Engine:
     """Executes physical plans on partitioned in-memory data.
 
@@ -161,40 +224,30 @@ class Engine:
         streaming: bool = True,
         stream_batch_rows: int = 1024,
         collector: "ObservationCollector | None" = None,
-        engine_jobs: int = 1,
         tracer=None,
     ) -> None:
         self.params = params or CostParams()
         self.true_costs = true_costs or {}
         self.reuse_subtree_results = reuse_subtree_results
         self.streaming = streaming
-        self.stream_batch_rows = max(1, stream_batch_rows)
         if (
-            not isinstance(engine_jobs, int)
-            or isinstance(engine_jobs, bool)
-            or engine_jobs < 1
+            not isinstance(stream_batch_rows, int)
+            or isinstance(stream_batch_rows, bool)
+            or stream_batch_rows < 1
         ):
             raise ExecutionConfigError(
-                f"engine_jobs must be an integer >= 1, got {engine_jobs!r}"
+                "stream_batch_rows must be an integer >= 1, got "
+                f"{stream_batch_rows!r}"
             )
-        if engine_jobs > 1 and not _pool.available():
-            warnings.warn(
-                f"engine_jobs={engine_jobs} requires fork-based process "
-                "pools, which this platform does not provide; executing "
-                "serially instead",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            engine_jobs = 1
-        self.engine_jobs = engine_jobs
+        self.stream_batch_rows = stream_batch_rows
         # Wall-clock observability (repro.obs).  Tracing reads the wall
         # clock only: records, OpMetrics, and modeled seconds are
         # bit-identical with the tracer on or off (pinned by the tracing
         # parity suite).  Default is the shared near-zero-overhead no-op.
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         # Measured (top node name, wall seconds) per stage of the most
-        # recent execute_staged() run — the hardware-time axis the soak
-        # bench reports; modeled seconds live in the ExecutionReport.
+        # recent execute_staged() run — the hardware-time axis; modeled
+        # seconds live in the ExecutionReport.
         self.last_stage_walls: list[tuple[str, float]] = []
         # Optional runtime-statistics hook (the feedback subsystem's
         # ObservationCollector): notified once per execute() with the plan
@@ -377,14 +430,7 @@ class Engine:
         node: PhysNode,
         data: SourceData,
         report: ExecutionReport,
-        scatter: ScatterSpec | None = None,
     ) -> Partitions:
-        # ``scatter`` is a downstream partition-ship's request to have
-        # this subtree's producing workers hash-scatter their output
-        # straight into the ship's target buckets (breaker -> ship
-        # streaming).  It is only ever set inside a parallel region and
-        # never when the output is also a cache or checkpoint candidate,
-        # so the memoized paths below always see plain partitions.
         if self._stage_results is not None:
             # A completed stage of the staged execution: hand back the
             # checkpoint without replaying metrics — they were reported
@@ -393,7 +439,7 @@ class Engine:
             if checkpoint is not None:
                 return checkpoint
         if not self.reuse_subtree_results:
-            return self._run_subtree(node, data, report, scatter)
+            return self._run_subtree(node, data, report)
         hit = self._subtree_cache.get(node)
         if hit is not None:
             parts, metrics = hit
@@ -410,7 +456,6 @@ class Engine:
         node: PhysNode,
         data: SourceData,
         report: ExecutionReport,
-        scatter: ScatterSpec | None = None,
     ) -> Partitions:
         if self.streaming and pipelineable(node):
             # Fused stage chain: collect the forward-shipped Maps (and
@@ -432,8 +477,8 @@ class Engine:
                 below = below.children[0]
             base = self._run(below, data, report)
             chain.reverse()
-            return self._run_chain(chain, base, report, scatter)
-        return self._run_breaker(node, data, report, scatter)
+            return self._run_chain(chain, base, report)
+        return self._run_breaker(node, data, report)
 
     # -- fused map chains ---------------------------------------------------------
 
@@ -442,7 +487,6 @@ class Engine:
         chain: list[PhysNode],
         base: Partitions,
         report: ExecutionReport,
-        scatter: ScatterSpec | None = None,
     ) -> Partitions:
         """Stream partitions through a fused chain of Map operators.
 
@@ -452,11 +496,6 @@ class Engine:
         the materializing path derives from full partitions, keeping the
         reported metrics bit-identical.  A Sink in the chain collects
         without transforming or reporting, as on the materializing path.
-
-        With ``engine_jobs > 1`` the per-partition streaming loops run
-        across the fork pool; workers ship back rows and integer counts,
-        and the metric arithmetic below consumes them in partition order
-        exactly as the serial loop fills them.
         """
         stages = [
             (n, n.logical.op) for n in chain if not isinstance(n.logical.op, Sink)
@@ -472,37 +511,25 @@ class Engine:
             category="engine",
             first=ops[0][0],
             ops=len(stages),
-            jobs=self.engine_jobs,
         )
+        in_rows = [[0] * degree for _ in stages]
+        out_rows = [[0] * degree for _ in stages]
+        out = empty_partitions(degree)
         with chain_span:
-            if self.engine_jobs > 1:
-                out, in_rows, out_rows, wspans = _pool.run_chain(
-                    ops, base, batch, scatter, self.engine_jobs,
-                    trace=tracer.enabled,
-                )
-                for name, i, w_start, w_end, w_pid in wspans:
-                    tracer.add_span(
-                        "engine.partition", "engine", w_start, w_end,
-                        tid=w_pid, attrs={"op": name, "partition": i},
+            for i, rows in enumerate(base):
+                with tracer.span(
+                    "engine.partition",
+                    category="engine",
+                    op=ops[0][0],
+                    partition=i,
+                ):
+                    collected, part_in, part_out = run_chain_partition(
+                        ops, rows, batch
                     )
-            else:
-                in_rows = [[0] * degree for _ in stages]
-                out_rows = [[0] * degree for _ in stages]
-                out = empty_partitions(degree)
-                for i, rows in enumerate(base):
-                    with tracer.span(
-                        "engine.partition",
-                        category="engine",
-                        op=ops[0][0],
-                        partition=i,
-                    ):
-                        collected, part_in, part_out = _pool.run_chain_partition(
-                            ops, rows, batch
-                        )
-                    out[i] = collected
-                    for k in range(len(stages)):
-                        in_rows[k][i] = part_in[k]
-                        out_rows[k][i] = part_out[k]
+                out[i] = collected
+                for k in range(len(stages)):
+                    in_rows[k][i] = part_in[k]
+                    out_rows[k][i] = part_out[k]
         params = self.params
         for k, (stage_node, op) in enumerate(stages):
             metrics = OpMetrics(name=op.name, strategy=stage_node.local.value)
@@ -527,7 +554,6 @@ class Engine:
         node: PhysNode,
         data: SourceData,
         report: ExecutionReport,
-        scatter: ScatterSpec | None = None,
     ) -> Partitions:
         op = node.logical.op
         params = self.params
@@ -554,28 +580,7 @@ class Engine:
             return parts
         if isinstance(op, Sink):
             return self._run(node.children[0], data, report)
-
-        # Inside a parallel region (and only when neither the subtree
-        # cache nor staged checkpoints will hold the producer's output),
-        # ask each hash-partition-shipped child to stream its output
-        # straight into the ship's scatter instead of buffering the
-        # pre-ship partitions first.
-        want_scatter = (
-            self.engine_jobs > 1
-            and not self.reuse_subtree_results
-            and self._stage_results is None
-        )
-        inputs = []
-        for i, child in enumerate(node.children):
-            child_ship = node.ships[i]
-            spec: ScatterSpec | None = None
-            if (
-                want_scatter
-                and child_ship.kind is ShipKind.PARTITION
-                and child_ship.key is not None
-            ):
-                spec = (child_ship.key, params.degree)
-            inputs.append(self._run(child, data, report, spec))
+        inputs = [self._run(child, data, report) for child in node.children]
         # The operator span covers shipping plus local evaluation only —
         # child recursion above traces under its own spans.
         op_span = self.tracer.span(
@@ -585,7 +590,7 @@ class Engine:
             strategy=node.local.value,
         )
         with op_span:
-            out = self._ship_and_local(node, op, inputs, scatter, report)
+            out = self._ship_and_local(node, op, inputs, report)
         op_span.set(
             rows_out=report.per_op[-1].rows_out,
             modeled_seconds=report.per_op[-1].seconds,
@@ -597,7 +602,6 @@ class Engine:
         node: PhysNode,
         op,
         inputs: list[Partitions],
-        scatter: ScatterSpec | None,
         report: ExecutionReport,
     ) -> Partitions:
         """Ship the collected inputs and evaluate the local strategy.
@@ -619,18 +623,6 @@ class Engine:
         for i in range(len(inputs)):
             ship = node.ships[i]
             inp = inputs[i]
-            if isinstance(inp, ScatteredOutput):
-                # The producing workers already routed this input through
-                # the ship's hash-scatter; charge the shuffle from the
-                # primitives they shipped back.  ``avg``/``moved_bytes``
-                # mirror _ship()'s expressions exactly.
-                avg = sum(inp.pre_bytes) / inp.rows if inp.rows else 0.0
-                moved_bytes = inp.moved * avg
-                metrics.net_bytes += moved_bytes
-                metrics.ship_seconds += params.net_seconds(moved_bytes)
-                shipped.append(inp.parts)
-                shipped_sizes.append(None)
-                continue
             sizes: list[float] | None = None
             if ship.kind is not ShipKind.FORWARD or spill_sizes:
                 sizes = _part_bytes(inp)
@@ -640,11 +632,8 @@ class Engine:
             # its per-partition sizes are unknown without a re-walk.
             shipped.append(out_parts)
             shipped_sizes.append(sizes if ship.kind is ShipKind.FORWARD else None)
-        out = self._local(node, shipped, shipped_sizes, metrics, scatter)
-        if isinstance(out, ScatteredOutput):
-            metrics.rows_out = out.rows
-        else:
-            metrics.rows_out = sum(len(p) for p in out)
+        out = self._local(node, shipped, shipped_sizes, metrics)
+        metrics.rows_out = sum(len(p) for p in out)
         report.per_op.append(metrics)
         return out
 
@@ -685,16 +674,12 @@ class Engine:
         inputs: list[Partitions],
         input_sizes: list[list[float] | None],
         metrics: OpMetrics,
-        scatter: ScatterSpec | None = None,
     ) -> Partitions:
         """Evaluate a local strategy partition-by-partition.
 
-        The per-partition evaluation (shared with the pooled workers as
-        :func:`repro.engine.parallel.eval_local_partition`) is separated
-        from the metric arithmetic: workers — or the serial loop — hand
-        back output rows plus integer facts, and every float operation
-        happens here, in partition-index order, identically for
-        ``engine_jobs`` 1 and N.
+        The per-partition evaluation (:func:`eval_local_partition`) hands
+        back output rows plus integer facts; every float operation
+        happens here, in partition-index order.
         """
         op = node.logical.op
         params = self.params
@@ -705,31 +690,20 @@ class Engine:
 
         need_bytes = isinstance(op, ReduceOp) and input_sizes[0] is None
         tracer = self.tracer
-        if self.engine_jobs > 1:
-            out, evaled, wspans = _pool.run_local(
-                op, tuple(inputs), need_bytes, scatter, self.engine_jobs,
-                degree, trace=tracer.enabled,
-            )
-            for name, i, w_start, w_end, w_pid in wspans:
-                tracer.add_span(
-                    "engine.partition", "engine", w_start, w_end,
-                    tid=w_pid, attrs={"op": name, "partition": i},
+        out = empty_partitions(degree)
+        evaled = []
+        for i in range(degree):
+            with tracer.span(
+                "engine.partition",
+                category="engine",
+                op=op.name,
+                partition=i,
+            ):
+                result, aux = eval_local_partition(
+                    op, tuple(inp[i] for inp in inputs), need_bytes
                 )
-        else:
-            out = empty_partitions(degree)
-            evaled = []
-            for i in range(degree):
-                with tracer.span(
-                    "engine.partition",
-                    category="engine",
-                    op=op.name,
-                    partition=i,
-                ):
-                    result, aux = _pool.eval_local_partition(
-                        op, tuple(inp[i] for inp in inputs), need_bytes
-                    )
-                out[i] = result
-                evaled.append((len(result), aux))
+            out[i] = result
+            evaled.append((len(result), aux))
 
         if isinstance(op, MapOp):
             (parts,) = inputs

@@ -145,7 +145,6 @@ class AdaptiveOptimizer:
         jobs: int = 1,
         midquery: bool = False,
         switch_threshold: float = DEFAULT_SWITCH_THRESHOLD,
-        engine_jobs: int = 1,
         tracer=None,
     ) -> None:
         self.workload = workload
@@ -169,7 +168,6 @@ class AdaptiveOptimizer:
             reuse_subtree_results=True,
             streaming=streaming,
             collector=self.collector,
-            engine_jobs=engine_jobs,
             tracer=tracer,
         )
         self.optimizer = Optimizer(

@@ -396,7 +396,6 @@ def run_midquery(
     hints: dict[str, Hints] | None = None,
     optimization: "OptimizationResult | None" = None,
     baseline: ExecutionResult | None = None,
-    engine_jobs: int = 1,
     tracer=None,
 ) -> MidQueryExperiment:
     """Optimize a workload, then race the pick with and without mid-query.
@@ -429,10 +428,7 @@ def run_midquery(
     pick = result.best
 
     if baseline is None:
-        baseline_engine = Engine(
-            params, workload.true_costs, engine_jobs=engine_jobs,
-            tracer=tracer,
-        )
+        baseline_engine = Engine(params, workload.true_costs, tracer=tracer)
         baseline = baseline_engine.execute(pick.physical, workload.data)
 
     controller = MidQueryReoptimizer(
@@ -448,7 +444,6 @@ def run_midquery(
         params,
         workload.true_costs,
         collector=ObservationCollector(),
-        engine_jobs=engine_jobs,
         tracer=tracer,
     )
     adaptive = staged_engine.execute_staged(

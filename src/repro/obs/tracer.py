@@ -142,9 +142,9 @@ class Tracer:
 
     * :meth:`span` opens a nested, attributed wall-clock span (use as a
       context manager);
-    * :meth:`add_span` registers an already-measured region — how fork
-      workers' partition timings, shipped back as primitives, enter the
-      trace on their own ``tid`` lane;
+    * :meth:`add_span` registers an already-measured region — how work
+      timed in another process, shipped back as primitives, enters the
+      trace on its own ``tid`` lane;
     * :meth:`count` / :meth:`gauge` feed the deterministic
       :class:`MetricsRegistry`.
 

@@ -159,3 +159,16 @@ class TestTimeModel:
 
         with pytest.raises(ExecutionError):
             execute_physical(phys, {}, CostParams(degree=8))
+
+
+class TestConfig:
+    @pytest.mark.parametrize("bad", [0, -5, 2.5, "8", True, None])
+    def test_stream_batch_rows_rejected_at_construction(self, bad):
+        from repro.core.errors import ExecutionConfigError
+
+        with pytest.raises(ExecutionConfigError, match="stream_batch_rows"):
+            Engine(stream_batch_rows=bad)
+
+    @pytest.mark.parametrize("good", [1, 7, 1024])
+    def test_stream_batch_rows_accepts_positive_ints(self, good):
+        assert Engine(stream_batch_rows=good).stream_batch_rows == good

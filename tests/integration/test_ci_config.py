@@ -66,6 +66,5 @@ def test_nightly_is_scheduled_with_artifact_upload():
     assert "actions/upload-artifact" in NIGHTLY
     assert "retention-days:" in NIGHTLY
     # Larger-than-CI scale knobs are actually set.
-    assert re.search(r'SOAK_SCALE_FACTOR:\s*"1200"', NIGHTLY)
     assert re.search(r'STORE_BENCH_WRITERS:\s*"8"', NIGHTLY)
     assert re.search(r'REPRO_BENCH_SERVE_WARM:\s*"100"', NIGHTLY)

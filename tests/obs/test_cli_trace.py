@@ -1,13 +1,12 @@
 """CLI surface of the observability subsystem.
 
 ``repro experiment --trace`` must produce a Perfetto-loadable Chrome
-trace covering the optimizer, per-stage engine work (including fork
-workers as their own tids), and — under feedback — the statistics store;
+trace covering the optimizer, per-stage engine work, and — under
+feedback — the statistics store;
 ``repro trace summarize`` must read both formats back.
 """
 
 import json
-import os
 
 from repro.cli import main
 from repro.obs import load_trace
@@ -44,43 +43,6 @@ def test_experiment_trace_chrome_perfetto_loadable(capsys, tmp_path):
     assert "optimizer.optimize" in names
     assert "engine.execute" in names
     assert "engine.partition" in names
-
-
-def test_experiment_trace_engine_jobs_worker_lanes(capsys, tmp_path):
-    trace = tmp_path / "trace.json"
-    assert (
-        main(
-            [
-                "experiment",
-                "tpch_q15",
-                "--picks",
-                "2",
-                "--engine-jobs",
-                "2",
-                "--trace",
-                str(trace),
-            ]
-        )
-        == 0
-    )
-    capsys.readouterr()
-    payload = json.loads(trace.read_text())
-    thread_names = {
-        e["args"]["name"]
-        for e in payload["traceEvents"]
-        if e.get("name") == "thread_name"
-    }
-    assert "main" in thread_names
-    workers = {n for n in thread_names if n.startswith("worker-")}
-    assert workers  # fork workers render as their own timeline lanes
-    assert f"worker-{os.getpid()}" not in workers
-    # And the worker lanes carry actual partition spans.
-    tids = {
-        e["tid"]
-        for e in payload["traceEvents"]
-        if e.get("ph") == "X" and e["name"] == "engine.partition"
-    }
-    assert len(tids) > 1
 
 
 def test_experiment_trace_jsonl_and_metrics(capsys, tmp_path):

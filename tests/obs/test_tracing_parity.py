@@ -2,11 +2,10 @@
 
 The tracer reads wall-clock only; it must never touch the modeled time
 axis.  These tests pin that across all four paper workloads, streaming
-and materializing engines, ``engine_jobs`` in {1, 4}, staged execution
-with a forced mid-query switch, and the optimizer/feedback loops, the
-records, per-op :class:`OpMetrics`, modeled seconds, and ranked plan
-costs are *exactly* equal with a live :class:`Tracer` and with the
-default no-op tracer.
+and materializing engines, staged execution with a forced mid-query
+switch, and the optimizer/feedback loops: the records, per-op
+:class:`OpMetrics`, modeled seconds, and ranked plan costs are *exactly*
+equal with a live :class:`Tracer` and with the default no-op tracer.
 """
 
 import pytest
@@ -51,19 +50,17 @@ class TestEngineParity:
     @pytest.mark.parametrize(
         "streaming", [True, False], ids=["streaming", "materializing"]
     )
-    @pytest.mark.parametrize("jobs", [1, 4])
     def test_execute_bit_identical_traced_vs_untraced(
-        self, optimized, name, streaming, jobs
+        self, optimized, name, streaming
     ):
         workload, picks = optimized[name]
         tracer = Tracer()
         untraced = Engine(
-            workload.params, workload.true_costs,
-            streaming=streaming, engine_jobs=jobs,
+            workload.params, workload.true_costs, streaming=streaming
         )
         traced = Engine(
             workload.params, workload.true_costs,
-            streaming=streaming, engine_jobs=jobs, tracer=tracer,
+            streaming=streaming, tracer=tracer,
         )
         for plan in picks:
             want = untraced.execute(plan.physical, workload.data)
@@ -80,23 +77,6 @@ class TestEngineParity:
         engine = Engine(workload.params, workload.true_costs)
         result = engine.execute(picks[0].physical, workload.data)
         assert result.wall_seconds > 0.0
-
-    def test_partition_spans_cover_fork_workers(self, optimized):
-        """engine_jobs>1 ships worker spans back as separate timeline
-        lanes (tids) — the Perfetto view of the pool."""
-        import os
-
-        workload, picks = optimized["tpch_q15"]
-        tracer = Tracer()
-        engine = Engine(
-            workload.params, workload.true_costs, engine_jobs=4, tracer=tracer
-        )
-        engine.execute(picks[0].physical, workload.data)
-        partitions = [s for s in tracer.spans if s.name == "engine.partition"]
-        assert partitions
-        worker_tids = {s.tid for s in partitions if s.tid != 0}
-        assert worker_tids  # at least one span came from a forked worker
-        assert os.getpid() not in worker_tids
 
 
 class TestStagedParity:

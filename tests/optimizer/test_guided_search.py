@@ -18,8 +18,8 @@ are in ``test_ranking_fixtures.py``, the memo-is-the-closure property in
 * The work counters (:class:`~repro.optimizer.optimizer.SearchStats`)
   account for the whole space while only ``k`` trees are planned tree
   by tree.
-* Configuration errors (bad ``jobs`` / ``engine_jobs`` / ``search`` /
-  ``top_k``, guided under feedback) raise subclasses of ``ValueError``
+* Configuration errors (bad ``jobs`` / ``search`` / ``top_k``, guided
+  under feedback) raise subclasses of ``ValueError``
   so callers can catch them without importing repro error types.
 """
 
@@ -40,7 +40,6 @@ from repro.core import (
     map_udf,
 )
 from repro.core.errors import (
-    ExecutionError,
     OptimizationConfigError,
     OptimizationError,
 )
@@ -407,15 +406,6 @@ def test_optimizer_jobs_validation_is_a_value_error(bad):
             workload.catalog, workload.hints, AnnotationMode.SCA,
             workload.params, jobs=bad,
         )
-
-
-@pytest.mark.parametrize("bad", [0, -1, 2.0, False, "2"])
-def test_engine_jobs_validation_is_a_value_error(bad):
-    workload = WORKLOADS["textmining"]
-    with pytest.raises(ValueError, match="engine_jobs"):
-        Engine(workload.params, workload.true_costs, engine_jobs=bad)
-    with pytest.raises(ExecutionError):
-        Engine(workload.params, workload.true_costs, engine_jobs=bad)
 
 
 @pytest.mark.parametrize(
