@@ -20,6 +20,7 @@ paper's proofs rely on.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Iterable
 
 from .errors import UdfError
@@ -73,6 +74,28 @@ def record_bytes(record: RawRecord) -> int:
         else:
             total += value_bytes(value)
     return total
+
+
+def rows_bytes(rows: list[RawRecord]) -> int:
+    """``sum(record_bytes(r) for r in rows)``, exactly, without the
+    per-value Python loop where the rows allow it.
+
+    When every value is a fixed-size scalar of one size ``s`` (all-int or
+    all-float data, say) each record weighs ``(2 + s) * len(record)``, so
+    the total is one multiplication.  The first record proposes ``s``;
+    the set of value types over all rows confirms it (a C-level pass that
+    never materializes the values).  Any other mix — strings, nesting,
+    ``None`` beside ints, subclasses — takes the per-record loop.
+    """
+    if not rows:
+        return 0
+    sizes = set(map(_SCALAR_BYTES.get, map(type, rows[0].values())))
+    if len(sizes) == 1 and None not in sizes:
+        (size,) = sizes
+        kinds = set(map(type, chain.from_iterable(map(dict.values, rows))))
+        if all(_SCALAR_BYTES.get(kind) == size for kind in kinds):
+            return (2 + size) * sum(map(len, rows))
+    return sum(map(record_bytes, rows))
 
 
 class OutputPositionResolver:
@@ -173,13 +196,20 @@ class InputRecord:
 
 
 class OutputRecord:
-    """Mutable record under construction by a UDF."""
+    """Mutable record under construction by a UDF.
 
-    __slots__ = ("_values", "_resolver")
+    Emitting hands the collector this record's dict itself, not a copy,
+    and marks the record *emitted*; the next ``set_field`` copies the dict
+    before writing (copy-on-write), so every emitted snapshot stays
+    exactly as it was when emitted.
+    """
+
+    __slots__ = ("_values", "_resolver", "_emitted")
 
     def __init__(self, values: RawRecord, resolver: OutputPositionResolver) -> None:
         self._values = values
         self._resolver = resolver
+        self._emitted = False
 
     def set_field(self, position: int, value: Any) -> None:
         """Set an output field.
@@ -188,6 +218,9 @@ class OutputRecord:
         *explicit projection* (the attribute is removed).
         """
         attr = self._resolver.attr_for(position)
+        if self._emitted:
+            self._values = dict(self._values)
+            self._emitted = False
         if value is None:
             self._values.pop(attr, None)
         else:
@@ -216,8 +249,9 @@ class Collector:
     def emit(self, record: InputRecord | OutputRecord) -> None:
         if isinstance(record, OutputRecord):
             # The UDF may keep mutating the output record after emitting
-            # it, so the emitted snapshot must be a copy.
-            self._out.append(dict(record.raw()))
+            # it; set_field copies the dict first once it is emitted.
+            self._out.append(record._values)
+            record._emitted = True
         elif isinstance(record, InputRecord):
             # Emitting an input record is an implicit full copy; the view
             # is read-only and records are never mutated once emitted, so

@@ -33,6 +33,21 @@ paths: per-operator :class:`OpMetrics` are reported per logical operator
 in the same order with the same float arithmetic, only the intermediate
 buffering differs.  ``streaming=False`` selects the seed materializing
 path, kept as the parity reference.
+
+Engine accounting
+-----------------
+One serial engine runs every plan: the ``degree`` instances exist in the
+modeled seconds, which charge each instance's CPU units and bytes as if
+it ran on its own node, not in the host's processes.  The engine's own
+per-record work is done in bulk wherever that yields exactly the
+per-record value: byte totals through :func:`~repro.core.record.rows_bytes`
+(one total per shipped input; per-partition totals only for Reduce's
+spill, which is charged per instance), hash routing through
+:func:`~.partition.repartition_by_key` (inlined ``stable_hash``), the scan
+split as list slices, and copy-on-write emits in
+:class:`~repro.core.record.Collector`.  Records, their order and every
+``OpMetrics`` bit of reference plans are frozen in
+``tests/fixtures/engine/`` and replayed by ``tests/engine/test_golden.py``.
 """
 
 from __future__ import annotations
@@ -52,7 +67,7 @@ from ..core.operators import (
     Sink,
     Source,
 )
-from ..core.record import RawRecord, record_bytes
+from ..core.record import RawRecord, rows_bytes
 from ..core.reference import (
     apply_cogroup,
     apply_cross,
@@ -128,17 +143,8 @@ class StageRun:
         return sum(len(p) for p in self.output)
 
 
-def _bytes_of(rows: list[RawRecord]) -> float:
-    return float(sum(record_bytes(r) for r in rows))
-
-
-def _part_bytes(parts: Partitions) -> list[float]:
-    """Per-partition byte totals, computed in one walk over the records."""
-    return [_bytes_of(p) for p in parts]
-
-
 def run_chain_partition(
-    ops: list[tuple[str, MapOp]], rows: list[RawRecord], batch: int
+    ops: list[MapOp], rows: list[RawRecord], batch: int
 ) -> tuple[list[RawRecord], list[int], list[int]]:
     """Stream one partition through a fused Map chain in bounded batches.
 
@@ -151,7 +157,7 @@ def run_chain_partition(
     collected: list[RawRecord] = []
     for start in range(0, len(rows), batch):
         cur = rows[start : start + batch]
-        for k, (_, op) in enumerate(ops):
+        for k, op in enumerate(ops):
             if not cur:
                 break
             in_rows[k] += len(cur)
@@ -162,13 +168,12 @@ def run_chain_partition(
 
 
 def eval_local_partition(
-    op, rows_by_input: tuple[list[RawRecord], ...], need_bytes: bool
+    op, rows_by_input: tuple[list[RawRecord], ...]
 ) -> tuple[list[RawRecord], tuple]:
     """Evaluate one partition of a local strategy.
 
-    Returns the output rows plus the auxiliary scalars the metric
-    arithmetic needs for this partition (group/key counts, and — for
-    Reduce without precomputed sizes — the partition's byte total).
+    Returns the output rows plus the auxiliary counts the metric
+    arithmetic needs for this partition (Reduce groups, CoGroup keys).
     """
     if isinstance(op, MapOp):
         (rows,) = rows_by_input
@@ -177,7 +182,7 @@ def eval_local_partition(
         (rows,) = rows_by_input
         groups = len(group_by(rows, op.key_attr_tuple())) if rows else 0
         result = apply_reduce(op, rows)
-        return result, (groups, _bytes_of(rows) if need_bytes else None)
+        return result, (groups,)
     if isinstance(op, MatchOp):
         l_rows, r_rows = rows_by_input
         return apply_match(op, l_rows, r_rows), ()
@@ -504,12 +509,12 @@ class Engine:
             return base
         degree = len(base)
         batch = self.stream_batch_rows
-        ops = [(op.name, op) for _, op in stages]
+        ops = [op for _, op in stages]
         tracer = self.tracer
         chain_span = tracer.span(
             "engine.chain",
             category="engine",
-            first=ops[0][0],
+            first=ops[0].name,
             ops=len(stages),
         )
         in_rows = [[0] * degree for _ in stages]
@@ -520,7 +525,7 @@ class Engine:
                 with tracer.span(
                     "engine.partition",
                     category="engine",
-                    op=ops[0][0],
+                    op=ops[0].name,
                     partition=i,
                 ):
                     collected, part_in, part_out = run_chain_partition(
@@ -573,7 +578,7 @@ class Engine:
                 parts = round_robin(rows, params.degree)
                 metrics = OpMetrics(name=op.name, strategy="scan")
                 metrics.rows_out = len(rows)
-                metrics.disk_bytes = _bytes_of(rows)
+                metrics.disk_bytes = float(rows_bytes(rows))
                 metrics.local_seconds = params.disk_seconds(metrics.disk_bytes)
                 report.per_op.append(metrics)
             scan_span.set(rows_out=len(rows))
@@ -609,30 +614,15 @@ class Engine:
         Split out of :meth:`_run_breaker` so the operator span cleanly
         covers exactly this region; the metric arithmetic is unchanged.
         """
-        params = self.params
         metrics = OpMetrics(
             name=op.name,
             strategy=node.local.value,
         )
-        # Partition byte totals are computed at most once per operator input
-        # and shared between ship costing and (for Reduce) spill accounting,
-        # instead of re-walking every record per use.
-        spill_sizes = isinstance(op, ReduceOp)
-        shipped: list[Partitions] = []
-        shipped_sizes: list[list[float] | None] = []
-        for i in range(len(inputs)):
-            ship = node.ships[i]
-            inp = inputs[i]
-            sizes: list[float] | None = None
-            if ship.kind is not ShipKind.FORWARD or spill_sizes:
-                sizes = _part_bytes(inp)
-            out_parts = self._ship(ship, inp, sizes, node, metrics)
-            # Only Reduce consumes post-ship sizes, and Reduce ships are
-            # forward or partition; a repartition redistributes records so
-            # its per-partition sizes are unknown without a re-walk.
-            shipped.append(out_parts)
-            shipped_sizes.append(sizes if ship.kind is ShipKind.FORWARD else None)
-        out = self._local(node, shipped, shipped_sizes, metrics)
+        shipped = [
+            self._ship(ship, inp, node, metrics)
+            for ship, inp in zip(node.ships, inputs)
+        ]
+        out = self._local(node, shipped, metrics)
         metrics.rows_out = sum(len(p) for p in out)
         report.per_op.append(metrics)
         return out
@@ -643,16 +633,16 @@ class Engine:
         self,
         ship: Ship,
         parts: Partitions,
-        sizes: list[float] | None,
         node: PhysNode,
         metrics: OpMetrics,
     ) -> Partitions:
         params = self.params
         if ship.kind is ShipKind.FORWARD:
             return parts
-        assert sizes is not None
         rows = sum(len(p) for p in parts)
-        avg = sum(sizes) / rows if rows else 0.0
+        # One byte total per input: the per-partition totals are integers,
+        # so their float sum is exactly float(total).
+        avg = float(sum(map(rows_bytes, parts))) / rows if rows else 0.0
         if ship.kind is ShipKind.PARTITION:
             if ship.key is None:
                 raise ExecutionError(f"{node.name}: partition ship without key")
@@ -672,7 +662,6 @@ class Engine:
         self,
         node: PhysNode,
         inputs: list[Partitions],
-        input_sizes: list[list[float] | None],
         metrics: OpMetrics,
     ) -> Partitions:
         """Evaluate a local strategy partition-by-partition.
@@ -688,7 +677,6 @@ class Engine:
         cpu_per_instance = [0.0] * degree
         calls_total = 0
 
-        need_bytes = isinstance(op, ReduceOp) and input_sizes[0] is None
         tracer = self.tracer
         out = empty_partitions(degree)
         evaled = []
@@ -700,7 +688,7 @@ class Engine:
                 partition=i,
             ):
                 result, aux = eval_local_partition(
-                    op, tuple(inp[i] for inp in inputs), need_bytes
+                    op, tuple(inp[i] for inp in inputs)
                 )
             out[i] = result
             evaled.append((len(result), aux))
@@ -717,10 +705,9 @@ class Engine:
                 )
         elif isinstance(op, ReduceOp):
             (parts,) = inputs
-            (sizes,) = input_sizes
             metrics.rows_in = sum(len(p) for p in parts)
             for i in range(degree):
-                result_len, (groups, part_bytes) = evaled[i]
+                result_len, (groups,) = evaled[i]
                 calls_total += groups
                 n = len(parts[i])
                 sort_units = n * math.log2(max(n, 2)) * params.sort_unit
@@ -729,8 +716,10 @@ class Engine:
                     + groups * cost_call
                     + result_len * params.record_overhead
                 )
-                rows_bytes = sizes[i] if sizes is not None else part_bytes
-                spill = params.spill_bytes(rows_bytes * degree) / degree
+                # Spill is charged per instance, so Reduce is the one
+                # consumer of per-partition byte totals.
+                part_bytes = float(rows_bytes(parts[i]))
+                spill = params.spill_bytes(part_bytes * degree) / degree
                 metrics.disk_bytes += spill
                 metrics.local_seconds += params.disk_seconds(spill)
         elif isinstance(op, MatchOp):

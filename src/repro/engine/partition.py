@@ -8,13 +8,23 @@ hash instead.
 from __future__ import annotations
 
 import zlib
-from typing import Any, Iterable
+from operator import itemgetter
+from typing import Any
 
+from ..core.errors import ExecutionError
 from ..core.record import RawRecord
 from ..core.reference import key_of
 from ..core.schema import Attribute
 
 Partitions = list[list[RawRecord]]
+
+_MASK = 0xFFFFFFFF
+
+# Value types among which dict equality implies equal ``stable_hash``
+# (``1 == 1.0 == True`` all hash as the int): a key built only of these
+# can be memoised by value.  Other types need not keep that promise —
+# ``Fraction(1) == 1`` hashes by ``repr`` — so they are hashed per row.
+_MEMO_SAFE = frozenset({int, float, bool, str, type(None)})
 
 
 def stable_hash(value: Any) -> int:
@@ -58,27 +68,59 @@ def empty_partitions(degree: int) -> Partitions:
     return [[] for _ in range(degree)]
 
 
-def round_robin(rows: Iterable[RawRecord], degree: int) -> Partitions:
-    parts = empty_partitions(degree)
-    for i, row in enumerate(rows):
-        parts[i % degree].append(row)
-    return parts
+def round_robin(rows: list[RawRecord], degree: int) -> Partitions:
+    """Row ``i`` goes to partition ``i % degree``, in input order."""
+    return [rows[i::degree] for i in range(degree)]
 
 
 def repartition_by_key(
     parts: Partitions, key: tuple[Attribute, ...], degree: int
 ) -> tuple[Partitions, int]:
     """Hash-repartition; returns the new partitions and the number of
-    records that crossed instance boundaries."""
+    records that crossed instance boundaries.
+
+    Routes every row exactly as ``hash_key(row, key) % degree`` would,
+    keeping origin order within each target, with the per-row calls
+    taken out: one ``itemgetter`` reads the key; a single exact-``int``
+    key gets ``stable_hash``'s arithmetic for a one-tuple inline; any
+    other key goes through ``stable_hash``, memoised per distinct key
+    when the key's value types allow it.
+    """
     out = empty_partitions(degree)
+    append = [part.append for part in out]
+    get = itemgetter(*key) if key else lambda row: ()
+    single = len(key) == 1
+    memo: dict = {}
     moved = 0
     for origin, rows in enumerate(parts):
         for row in rows:
-            target = hash_key(row, key) % degree
+            try:
+                value = get(row)
+            except KeyError as exc:
+                raise ExecutionError(
+                    f"key attribute {exc.args[0]} missing from record at runtime"
+                ) from None
+            if single and type(value) is int:
+                h = (
+                    (0x811C9DC5 ^ ((value * 0x9E3779B1) & _MASK)) * 0x01000193
+                ) & _MASK
+            else:
+                h = _key_hash((value,) if single else value, memo)
+            target = h % degree
             if target != origin:
                 moved += 1
-            out[target].append(row)
+            append[target](row)
     return out, moved
+
+
+def _key_hash(key: tuple, memo: dict) -> int:
+    """``stable_hash(key)``, looked up in ``memo`` when that is exact."""
+    if set(map(type, key)) <= _MEMO_SAFE:
+        h = memo.get(key)
+        if h is None:
+            h = memo[key] = stable_hash(key)
+        return h
+    return stable_hash(key)
 
 
 def broadcast(parts: Partitions, degree: int) -> tuple[Partitions, int]:

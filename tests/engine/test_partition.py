@@ -1,10 +1,13 @@
 """Partitioning primitives: determinism, co-location, conservation."""
 
+from fractions import Fraction
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ExecutionError, attrs
+from repro.core.reference import key_of
 from repro.engine import broadcast, gather, repartition_by_key, round_robin, stable_hash
 from repro.engine.partition import hash_key
 
@@ -110,3 +113,94 @@ class TestBroadcast:
         assert moved == n * (degree - 1)
         for p in parts:
             assert sorted(r[A] for r in p) == list(range(n))
+
+
+# -- the routing fast path against its per-record definition ----------------
+
+ROUTE_KEYS = MIXED_KEYS + [
+    0.5, -0.0, 2**70, -(2**33), "", "zz", (1, "a"), (1.0, "a"), (True, 2.5),
+    ("x", (None, 2)), [1, 2], Fraction(1), Fraction(1, 3), "1.0",
+]
+
+
+def route_by_definition(parts, key, degree):
+    """``repartition_by_key`` as written per record: ``stable_hash(key_of)``."""
+    out = [[] for _ in range(degree)]
+    moved = 0
+    for origin, rows in enumerate(parts):
+        for row in rows:
+            target = stable_hash(key_of(row, key)) % degree
+            moved += target != origin
+            out[target].append(row)
+    return out, moved
+
+
+def assert_routes_like_definition(parts, key, degree):
+    got, moved = repartition_by_key(parts, key, degree)
+    want, want_moved = route_by_definition(parts, key, degree)
+    assert moved == want_moved
+    # the same row objects, in the same order, in every target
+    assert [[id(r) for r in p] for p in got] == [[id(r) for r in p] for p in want]
+
+
+class TestRoutingFastPath:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(st.sampled_from(ROUTE_KEYS), st.sampled_from(ROUTE_KEYS)),
+                max_size=12,
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        st.integers(1, 9),
+        st.sampled_from([(A,), (B,), (A, B), (B, A), ()]),
+    )
+    def test_matches_stable_hash_of_key_of(self, origin_parts, degree, key):
+        parts = [[{A: a, B: b} for a, b in rows] for rows in origin_parts]
+        assert_routes_like_definition(parts, key, degree)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(), max_size=40), st.integers(1, 40))
+    def test_int_keys_match_definition(self, keys, degree):
+        rows = [{A: k} for k in keys]
+        assert_routes_like_definition(round_robin(rows, degree), (A,), degree)
+
+    def test_dict_equal_keys_of_other_types_route_alike(self):
+        rows = [{A: k} for k in (1, 1.0, True, 0, -0.0, False, None, "1")]
+        assert_routes_like_definition([rows], (A,), 7)
+        got, _ = repartition_by_key([rows], (A,), 7)
+        home = {id(r): i for i, p in enumerate(got) for r in p}
+        assert home[id(rows[0])] == home[id(rows[1])] == home[id(rows[2])]
+        assert home[id(rows[3])] == home[id(rows[4])] == home[id(rows[5])]
+
+    def test_memo_never_crosses_types_outside_the_safe_set(self):
+        """``Fraction(1) == 1.0`` but their stable hashes differ; routing
+        must give each its own per-record value, in either order."""
+        for first, second in ((Fraction(1), 1.0), (1.0, Fraction(1))):
+            rows = [{A: first, B: 0}, {A: second, B: 0}]
+            assert_routes_like_definition([rows], (A,), 11)
+            assert_routes_like_definition([rows], (A, B), 11)
+
+    @pytest.mark.parametrize("key", [(B,), (A, B), (B, A)])
+    def test_missing_key_raises_key_of_error(self, key):
+        row = {A: 1}
+        with pytest.raises(ExecutionError) as want:
+            key_of(row, key)
+        with pytest.raises(ExecutionError) as got:
+            repartition_by_key([[row]], key, 4)
+        assert str(got.value) == str(want.value)
+
+
+class TestRoundRobinOrder:
+    @given(st.integers(0, 50), st.integers(1, 8))
+    def test_row_i_goes_to_i_mod_degree_in_order(self, n, degree):
+        rows = [{A: i} for i in range(n)]
+        want = [[] for _ in range(degree)]
+        for i, row in enumerate(rows):
+            want[i % degree].append(row)
+        got = round_robin(rows, degree)
+        assert [[id(r) for r in p] for p in got] == [
+            [id(r) for r in p] for p in want
+        ]

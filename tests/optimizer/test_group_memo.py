@@ -16,9 +16,15 @@ Map/Reduce/Match flows:
 * the cost a cell table records as its cheapest left-out option is a
   lower bound on the cost of every tree the tables dropped — the
   certificate guided planning checks before trusting its top ``k``.
+
+The generated flows also carry the differential property behind the
+paper's Theorems 1–4 at the layer users execute: every alternative's
+physical plan, run by :class:`~repro.engine.Engine`, returns a bag equal
+to ``evaluate()`` of the original flow.
 """
 
 import math
+from datetime import timedelta
 from itertools import product
 
 import pytest
@@ -28,6 +34,8 @@ from hypothesis import strategies as st
 from repro.core import (
     AnnotationMode,
     Catalog,
+    CoGroupOp,
+    CrossOp,
     FieldMap,
     MapOp,
     MatchOp,
@@ -36,20 +44,20 @@ from repro.core import (
     SourceStats,
     attrs,
     binary_udf,
+    cogroup_udf,
+    datasets_equal,
+    evaluate,
     map_udf,
     node,
     reduce_udf,
 )
 from repro.core.plan import Node, body as plan_body
+from repro.engine import Engine
 from repro.optimizer import Memo, Optimizer, PlanContext, iter_flows
 from repro.sca import parse_tac
 from tests.conftest import concat_udf
 from tests.optimizer.spaces import SPACE_NAMES, space
-from tests.optimizer.test_reorder_soundness import (
-    ATTRS,
-    SUM_REDUCE,
-    map_udf_texts,
-)
+from tests.optimizer.test_reorder_soundness import ATTRS, map_udf_texts
 
 
 def members(cell, cache):
@@ -137,32 +145,71 @@ def test_shape_dependent_uniqueness_splits_a_class(name):
         assert len({ctx.unique_keys(cell.rep) for cell in cells.values()}) > 1
 
 
-# -- hypothesis-generated Map / Reduce / Match flows ------------------------
+# -- hypothesis-generated Map / Reduce / Match / Cross / CoGroup flows ------
 
 DIM = attrs("d.k", "d.v")
 JOINED = ATTRS + DIM
+DIM_KEYS = 8
+
+
+def sum_reduce_text(width: int) -> str:
+    """Reduce on position 0 summing every other position of the group.
+
+    Sums do not depend on the order of a group's records, so the engine
+    (which sees groups in shipped-partition order) and ``evaluate()``
+    agree on every output field, not just on a projection.
+    """
+    lines = ["agg($recs):"]
+    lines += [f"$s{p} := 0" for p in range(1, width)]
+    lines += ["$it := iter($recs)", "L0:", "$r := next($it) else LD"]
+    for p in range(1, width):
+        lines += [f"$v{p} := getField($r, {p})", f"$s{p} := $s{p} + $v{p}"]
+    lines += ["goto L0", "LD:", "$first := getitem($recs, 0)", "$o := copy($first)"]
+    lines += [f"setField($o, {p}, $s{p})" for p in range(1, width)]
+    lines += ["emit($o)", "return"]
+    return "\n".join(lines)
 
 
 def reduce_op(name, field_map, key_position):
-    return ReduceOp(
-        name, reduce_udf(parse_tac(SUM_REDUCE)), field_map, (key_position,)
+    text = sum_reduce_text(len(field_map))
+    return ReduceOp(name, reduce_udf(parse_tac(text)), field_map, (key_position,))
+
+
+def cogroup_pairs(left_recs, right_recs, out):
+    """CoGroup UDF: every left/right pair of a key group, concatenated."""
+    for left in left_recs:
+        for right in right_recs:
+            out.emit(left.concat(right))
+
+
+def binary_op(kind):
+    if kind == "match":
+        return MatchOp(
+            "join", binary_udf(concat_udf), FieldMap(ATTRS), FieldMap(DIM),
+            (0,), (0,),
+        )
+    if kind == "cross":
+        return CrossOp("join", binary_udf(concat_udf), FieldMap(ATTRS), FieldMap(DIM))
+    return CoGroupOp(
+        "join", cogroup_udf(cogroup_pairs), FieldMap(ATTRS), FieldMap(DIM),
+        (0,), (0,),
     )
 
 
 @st.composite
 def join_flows(draw):
-    """Random maps and sum-reduces around a key/foreign-key Match.
+    """Random maps and sum-reduces around a Match, Cross or CoGroup.
 
     The fact side ``t`` carries 0-2 random maps and maybe a reduce on the
     join key; the dimension side ``d`` (unique on ``d.k``, maybe totally
-    referenced) maybe a reduce; above the Match come 0-2 more maps and
-    maybe a reduce on the join key — the shapes in which invariant
-    grouping moves a Reduce through the Match and derived uniqueness
-    depends on where it sits.
+    referenced) maybe a reduce; above the binary operator come 0-2 more
+    maps and maybe a reduce on the join key — around a key/foreign-key
+    Match, the shapes in which invariant grouping moves a Reduce through
+    it and derived uniqueness depends on where it sits.
     """
     catalog = Catalog()
     catalog.add_source("T", SourceStats(16))
-    catalog.add_source("D", SourceStats(8))
+    catalog.add_source("D", SourceStats(DIM_KEYS))
     catalog.declare_unique(DIM[0])
     if draw(st.booleans()):
         catalog.declare_reference(
@@ -184,9 +231,7 @@ def join_flows(draw):
     dim = node(Source("D", DIM))
     if draw(st.booleans()):
         dim = node(reduce_op("agg_d", FieldMap(DIM), 0), dim)
-    join = MatchOp(
-        "join", binary_udf(concat_udf), FieldMap(ATTRS), FieldMap(DIM), (0,), (0,)
-    )
+    join = binary_op(draw(st.sampled_from(["match", "cross", "cogroup"])))
     flow = node(join, fact, dim)
     for op in maps("above", FieldMap(JOINED)):
         flow = node(op, flow)
@@ -208,3 +253,37 @@ def test_generated_flow_memo_is_the_closure(case):
     assert [(p.body, p.cost) for p in guided.ranked] == [
         (p.body, p.cost) for p in eager.ranked[:k]
     ]
+
+
+@st.composite
+def flows_with_data(draw):
+    """A generated flow plus data honouring its catalog's declarations:
+    ``d.k`` unique, and every fact key present in ``D``."""
+    flow, catalog = draw(join_flows())
+    small = st.integers(-3, 3)
+    fact = draw(
+        st.lists(
+            st.tuples(st.integers(0, DIM_KEYS - 1), small, small),
+            min_size=6,
+            max_size=16,
+        )
+    )
+    dim_values = draw(st.lists(small, min_size=DIM_KEYS, max_size=DIM_KEYS))
+    data = {
+        "T": [dict(zip(ATTRS, row)) for row in fact],
+        "D": [{DIM[0]: k, DIM[1]: v} for k, v in enumerate(dim_values)],
+    }
+    return flow, catalog, data
+
+
+@settings(max_examples=100, deadline=timedelta(seconds=10))
+@given(flows_with_data())
+def test_every_alternative_executes_like_evaluate(case):
+    """Theorems 1–4 through the physical engine: each enumerated
+    alternative's chosen physical plan returns ``evaluate(flow)``."""
+    flow, catalog, data = case
+    want = evaluate(flow, data)
+    engine = Engine()  # the optimizer's default CostParams, as planned
+    for plan in Optimizer(catalog).optimize(flow).ranked:
+        got = engine.execute(plan.physical, data).records
+        assert datasets_equal(got, want), plan.body
