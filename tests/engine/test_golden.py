@@ -1,9 +1,10 @@
 """Every engine path reproduces the frozen golden executions bit for bit.
 
 See :mod:`tests.engine.golden` for what the fixtures hold.  The streaming
-engine, the materializing engine and ``execute_staged`` without a
-controller must each return the frozen records in the frozen order and
-the frozen per-operator metrics to the last bit.
+engine, the materializing engine, the streaming engine replaying shared
+subtrees from its cache across the ranked plans, and ``execute_staged``
+without a controller must each return the frozen records in the frozen
+order and the frozen per-operator metrics to the last bit.
 """
 
 import pytest
@@ -18,6 +19,7 @@ from tests.engine.golden import (
     rank_index,
 )
 
+
 def execute(engine, plan, data):
     return engine.execute(plan, data)
 
@@ -26,11 +28,12 @@ def execute_staged(engine, plan, data):
     return engine.execute_staged(plan, data, controller=None)
 
 
-# path -> (Engine(streaming=...), how the plan is run)
+# path -> (Engine keyword arguments, how each plan is run)
 PATHS = {
-    "streaming": (True, execute),
-    "materializing": (False, execute),
-    "staged": (True, execute_staged),
+    "streaming": ({}, execute),
+    "materializing": ({"streaming": False}, execute),
+    "cached": ({"reuse_subtree_results": True}, execute),
+    "staged": ({}, execute_staged),
 }
 
 
@@ -40,8 +43,8 @@ def test_engine_reproduces_golden(name, path):
     workload, ranked = planned(name)
     fixture = frozen(name)
     assert len(ranked) == fixture["plan_count"]
-    streaming, run = PATHS[path]
-    engine = Engine(workload.params, workload.true_costs, streaming=streaming)
+    options, run = PATHS[path]
+    engine = Engine(workload.params, workload.true_costs, **options)
     for want in fixture["executions"]:
         plan = ranked[rank_index(want["which"], len(ranked))]
         assert signature_key(plan.body) == want["signature"]

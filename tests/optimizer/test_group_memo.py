@@ -3,7 +3,7 @@
 ``Memo.explore`` fires the swap rules on cell expressions instead of
 trees.  Everything guided planning returns rests on three properties
 pinned here, on the nine reference spaces and on hypothesis-generated
-Map/Reduce/Match flows:
+Map/Reduce flows around a Match, Cross or CoGroup:
 
 * the set of trees extractable from the root cells equals
   ``set(iter_flows(flow))`` and ``SearchStats.expanded`` is its size;
