@@ -199,8 +199,8 @@ class OutputRecord:
     """Mutable record under construction by a UDF.
 
     Emitting hands the collector this record's dict itself, not a copy,
-    and marks the record *emitted*; the next ``set_field`` copies the dict
-    before writing (copy-on-write), so every emitted snapshot stays
+    and marks the record *emitted*; the next ``set_field`` or ``raw`` call
+    copies the dict first (copy-on-write), so every emitted snapshot stays
     exactly as it was when emitted.
     """
 
@@ -219,8 +219,7 @@ class OutputRecord:
         """
         attr = self._resolver.attr_for(position)
         if self._emitted:
-            self._values = dict(self._values)
-            self._emitted = False
+            self._unshare()
         if value is None:
             self._values.pop(attr, None)
         else:
@@ -235,7 +234,15 @@ class OutputRecord:
             raise UdfError(f"output field {position} ({attr.name}) not set") from None
 
     def raw(self) -> RawRecord:
+        """The record's own dict; after an emit, a fresh copy of it, since
+        the caller may mutate what it gets."""
+        if self._emitted:
+            self._unshare()
         return self._values
+
+    def _unshare(self) -> None:
+        self._values = dict(self._values)
+        self._emitted = False
 
 
 class Collector:

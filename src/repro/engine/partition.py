@@ -11,7 +11,6 @@ import zlib
 from operator import itemgetter
 from typing import Any
 
-from ..core.errors import ExecutionError
 from ..core.record import RawRecord
 from ..core.reference import key_of
 from ..core.schema import Attribute
@@ -96,10 +95,9 @@ def repartition_by_key(
         for row in rows:
             try:
                 value = get(row)
-            except KeyError as exc:
-                raise ExecutionError(
-                    f"key attribute {exc.args[0]} missing from record at runtime"
-                ) from None
+            except KeyError:
+                key_of(row, key)  # raises the oracle's ExecutionError
+                raise
             if single and type(value) is int:
                 h = (
                     (0x811C9DC5 ^ ((value * 0x9E3779B1) & _MASK)) * 0x01000193

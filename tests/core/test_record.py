@@ -297,4 +297,16 @@ class TestCopyOnWriteEmit:
         out = self.record().copy()
         collector = Collector()
         collector.emit(out)
-        assert collector.records()[0] is out.raw()
+        collector.emit(out)
+        first, second = collector.records()
+        assert first is second
+
+    def test_raw_mutation_after_emit_leaves_snapshot(self):
+        out = self.record().copy()
+        collector = Collector()
+        collector.emit(out)
+        out.raw()[self.a] = 99
+        del out.raw()[self.b]
+        collector.emit(out)
+        assert collector.records() == [{self.a: 1, self.b: 2}, {self.a: 99}]
+        assert self.source == {self.a: 1, self.b: 2}
