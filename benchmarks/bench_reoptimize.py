@@ -1,25 +1,16 @@
-"""Re-optimization cost: dirty-spine re-costing + parallel plan costing.
+"""Re-optimization cost: dirty-spine re-costing vs a full rebuild.
 
-Two claims of the incremental Memo subsystem, measured and parity-pinned:
-
-1. **Dirty-spine re-costing.**  After a single-hint change on the Q7
-   plan space (442 alternatives, ~1.4k distinct sub-plans), invalidating
-   only the spine above the changed operator and re-optimizing over the
-   surviving memo is several times faster than a full rebuild — while
-   producing bit-identical estimates, costs, and rankings.  This is the
-   per-round cost of the adaptive feedback loop.
-
-2. **Parallel costing.**  ``Optimizer(jobs=N)`` shards costing across
-   forked workers with per-worker memos merged back into the shared one.
-   On a join-heavy stress plan space (7 chained joins x 2 pushable
-   filters -> 6864 alternatives, ~15k entries) multi-core costing beats
-   sequential wall-clock, again bit-identically.
+After a single-hint change on the Q7 plan space (442 alternatives, ~1.4k
+distinct sub-plans), invalidating only the spine above the changed
+operator and re-optimizing over the surviving memo is several times
+faster than a full rebuild — while producing bit-identical estimates,
+costs, and rankings.  This is the per-round cost of the adaptive
+feedback loop.
 
 Results are written to ``benchmarks/results/reoptimize.json``.
 """
 
 import json
-import os
 import statistics
 import time
 
@@ -28,8 +19,6 @@ from conftest import write_result
 from repro.core import AnnotationMode
 from repro.core.plan import signature
 from repro.optimizer import Hints, Optimizer
-from repro.optimizer import parallel
-from repro.workloads.stress import build_stress
 
 REPS = 5
 
@@ -90,50 +79,11 @@ def measure_reoptimize(workload):
     return report
 
 
-def measure_scaling(jobs=4):
-    """Parallel costing wall-clock on the join-heavy stress space.
-
-    Best-of-2 on both sides: the first parallel run pays one-time pool
-    cold-start (worker imports, page faults) that a noisy CI host should
-    not charge against steady-state scaling.
-    """
-    plan, catalog, hints = build_stress()
-    sequential = None
-    seq_costing = float("inf")
-    for _ in range(2):
-        candidate = Optimizer(catalog, hints, AnnotationMode.MANUAL).optimize(plan)
-        seq_costing = min(seq_costing, candidate.physical_seconds)
-        sequential = candidate
-    result = {
-        "alternatives": sequential.plan_count,
-        "jobs": jobs,
-        "cpu_count": os.cpu_count(),
-        "fork_available": parallel.available(),
-        "sequential_costing_seconds": seq_costing,
-    }
-    if not parallel.available():
-        return result, None, None
-    par_costing = float("inf")
-    for _ in range(2):
-        parallel_result = Optimizer(
-            catalog, hints, AnnotationMode.MANUAL, jobs=jobs
-        ).optimize(plan)
-        par_costing = min(par_costing, parallel_result.physical_seconds)
-        assert_plans_identical(parallel_result, sequential)
-    result["parallel_costing_seconds"] = par_costing
-    result["costing_scaling"] = seq_costing / par_costing
-    return result, sequential, parallel_result
-
-
 def run_bench(q7_workload):
-    report = {
-        "reoptimize_q7": measure_reoptimize(q7_workload),
-        "parallel_stress": measure_scaling()[0],
-    }
-    return report
+    return {"reoptimize_q7": measure_reoptimize(q7_workload)}
 
 
-def test_reoptimize_and_parallel_costing(benchmark, q7_workload, results_dir):
+def test_reoptimize(benchmark, q7_workload, results_dir):
     report = benchmark.pedantic(
         run_bench, args=(q7_workload,), rounds=1, iterations=1
     )
@@ -152,12 +102,3 @@ def test_reoptimize_and_parallel_costing(benchmark, q7_workload, results_dir):
     for stats in report["reoptimize_q7"].values():
         assert stats["dirty_spine_seconds"] < stats["full_rebuild_seconds"]
 
-    scaling = report["parallel_stress"]
-    if (
-        scaling["fork_available"]
-        and scaling["cpu_count"] is not None
-        and scaling["cpu_count"] >= 4
-    ):
-        # Multi-core costing must beat sequential wall-clock on the
-        # compute-bound stress space (~1.7x projected on 4 cores).
-        assert scaling["costing_scaling"] > 1.0

@@ -48,10 +48,6 @@ class Headline:
 
 
 HEADLINES: dict[str, Headline] = {
-    # Memoized costing speedup on the biggest plan space: machine-relative.
-    "optimizer_throughput.json": Headline(
-        ("tpch_q7", "speedup"), True, "memoized vs unmemoized costing, Q7"
-    ),
     # Final-round median q-error on the headline workload: deterministic.
     "feedback_qerror.json": Headline(
         ("workloads", "clickstream", "rounds", -1, "qerror_median"),

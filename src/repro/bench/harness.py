@@ -85,7 +85,6 @@ def run_experiment(
     feedback_rounds: int = 0,
     stats_store: StatisticsStore | str | Path | None = None,
     stats_backend: str | None = None,
-    jobs: int = 1,
     midquery: bool = False,
     switch_threshold: float = DEFAULT_SWITCH_THRESHOLD,
     search: str = "eager",
@@ -104,8 +103,7 @@ def run_experiment(
     from existing state, and every ingest commits transactionally so
     concurrent experiments can share the store.  With
     ``feedback_rounds=0`` and no store this is exactly the feedback-free
-    protocol — the code path below is untouched.  ``jobs > 1`` shards
-    plan costing across forked worker processes (bit-identical results).
+    protocol — the code path below is untouched.
 
     With ``midquery`` the rank-1 pick is additionally raced against
     itself under mid-query re-optimization (stage-by-stage execution with
@@ -136,14 +134,13 @@ def run_experiment(
             )
         return _run_feedback_experiment(
             workload, picks, mode, params, execute_all, feedback_rounds,
-            stats_store, stats_backend, jobs, midquery, switch_threshold,
+            stats_store, stats_backend, midquery, switch_threshold,
             tracer,
         )
     params = params or workload.params
     optimizer = Optimizer(
-        workload.catalog, workload.hints, mode, params, jobs=jobs,
-        search=search, top_k=top_k,
-        tracer=tracer,
+        workload.catalog, workload.hints, mode, params,
+        search=search, top_k=top_k, tracer=tracer,
     )
     result = optimizer.optimize(workload.plan)
     # Rank-picked plans share most of their physical subtrees; reuse
@@ -202,7 +199,6 @@ def _run_feedback_experiment(
     feedback_rounds: int,
     stats_store: StatisticsStore | str | Path | None,
     stats_backend: str | None = None,
-    jobs: int = 1,
     midquery: bool = False,
     switch_threshold: float = DEFAULT_SWITCH_THRESHOLD,
     tracer=None,
@@ -219,7 +215,7 @@ def _run_feedback_experiment(
         store = StatisticsStore()
     adaptive = AdaptiveOptimizer(
         workload, store=store, mode=mode, params=params, picks=picks,
-        jobs=jobs, midquery=midquery, switch_threshold=switch_threshold,
+        midquery=midquery, switch_threshold=switch_threshold,
         tracer=tracer,
     )
     report = adaptive.run(feedback_rounds)

@@ -9,7 +9,6 @@ Usage::
     python -m repro experiment tpch_q7 --scale 10
     python -m repro experiment clickstream --feedback-rounds 2 --stats-store stats.json
     python -m repro experiment clickstream --feedback-rounds 2 --stats-store stats.sqlite
-    python -m repro experiment tpch_q7 --jobs 4
     python -m repro experiment tpch_q7 --search guided --top-k 3
     python -m repro experiment clickstream --midquery --switch-threshold 1.1
     python -m repro experiment clickstream --trace trace.json
@@ -103,7 +102,6 @@ def cmd_experiment(args) -> int:
         feedback_rounds=args.feedback_rounds,
         stats_store=args.stats_store,
         stats_backend=args.stats_backend,
-        jobs=args.jobs,
         midquery=args.midquery,
         switch_threshold=args.switch_threshold,
         search=args.search,
@@ -349,14 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
                 default=None,
                 help="force the statistics-store backend instead of "
                 "sniffing it from the --stats-store extension",
-            )
-            p.add_argument(
-                "--jobs",
-                type=int,
-                default=1,
-                metavar="N",
-                help="worker processes for plan costing (fork-based; "
-                "results are bit-identical to --jobs 1)",
             )
             p.add_argument(
                 "--search",

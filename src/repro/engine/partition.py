@@ -8,6 +8,8 @@ hash instead.
 from __future__ import annotations
 
 import zlib
+from decimal import Decimal
+from fractions import Fraction
 from operator import itemgetter
 from typing import Any
 
@@ -21,8 +23,7 @@ _MASK = 0xFFFFFFFF
 
 # Value types among which dict equality implies equal ``stable_hash``
 # (``1 == 1.0 == True`` all hash as the int): a key built only of these
-# can be memoised by value.  Other types need not keep that promise —
-# ``Fraction(1) == 1`` hashes by ``repr`` — so they are hashed per row.
+# can be memoised by value.  Other types are hashed per row.
 _MEMO_SAFE = frozenset({int, float, bool, str, type(None)})
 
 
@@ -31,10 +32,11 @@ def stable_hash(value: Any) -> int:
 
     Values that compare equal as Python dict keys must hash equally here,
     mirroring the builtin ``hash`` invariant: ``True == 1 == 1.0``, so all
-    three must land in the same hash bucket.  Group-by and join semantics
-    key on dict equality, so if equal keys hashed differently a hash
-    repartition would split an equal-key group across instances and the
-    parallel engine would silently diverge from the reference oracle.
+    three must land in the same hash bucket, and so must
+    ``Fraction(1, 2) == Decimal("0.5") == 0.5``.  Group-by and join
+    semantics key on dict equality, so if equal keys hashed differently a
+    hash repartition would split an equal-key group across instances and
+    the engine would silently diverge from the reference oracle.
     """
     if value is None:
         return 0x9E3779B1
@@ -49,12 +51,35 @@ def stable_hash(value: Any) -> int:
         return (value * 0x9E3779B1) & 0xFFFFFFFF
     if isinstance(value, str):
         return zlib.crc32(value.encode())
+    if isinstance(value, (Fraction, Decimal)):
+        return _exact_hash(value)
     if isinstance(value, (tuple, list)):
         acc = 0x811C9DC5
         for item in value:
             acc = ((acc ^ stable_hash(item)) * 0x01000193) & 0xFFFFFFFF
         return acc
     return zlib.crc32(repr(value).encode())
+
+
+def _exact_hash(value: Fraction | Decimal) -> int:
+    """Hash a ``Fraction``/``Decimal`` as the int or float it equals, if
+    any; otherwise by its exact ratio, so ``Decimal("0.1")`` and
+    ``Fraction(1, 10)`` (equal to each other, to no float) collide."""
+    if isinstance(value, Decimal) and not value.is_finite():
+        if value.is_nan():  # equal to nothing, itself included
+            return zlib.crc32(repr(value).encode())
+        return stable_hash(float(value))  # +-Infinity equal the floats
+    exact = Fraction(value)
+    if exact.denominator == 1:
+        return stable_hash(exact.numerator)
+    try:
+        as_float = float(exact)
+    except OverflowError:  # beyond every float, so equal to none
+        pass
+    else:
+        if Fraction(as_float) == exact:
+            return stable_hash(as_float)
+    return zlib.crc32(f"{exact.numerator}/{exact.denominator}".encode())
 
 
 def hash_key(row: RawRecord, key: tuple[Attribute, ...]) -> int:

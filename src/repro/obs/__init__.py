@@ -2,7 +2,7 @@
 
 The paper opens operator black boxes; this package opens *ours*.  A
 :class:`Tracer` threads through the optimizer (enumeration,
-per-alternative costing, memo invalidation, parallel chunk dispatch),
+per-alternative costing, memo invalidation),
 the engine (per-stage and per-partition execution), and the feedback loop
 (ingest/sync/conflict-retry, mid-query boundary decisions).  The default
 is the shared :data:`NOOP_TRACER` with near-zero overhead, and tracing

@@ -7,17 +7,14 @@ Three formats, all derived from one finished :class:`~.tracer.Tracer`:
   (`repro trace summarize` reads it back).
 * **Chrome trace-event JSON** (:func:`write_chrome`) — complete
   ``traceEvents`` duration events (microsecond timestamps) loadable in
-  Perfetto / ``chrome://tracing``.  The main process renders as one
-  named thread lane; fork workers' shipped-back partition spans render
-  as their own ``worker-<pid>`` lanes.
+  Perfetto / ``chrome://tracing``.  The tracing process renders as one
+  named thread lane.
 * **Prometheus-style text snapshot** (:func:`render_prometheus` /
   :func:`write_prometheus`) — the deterministic counters and gauges in
   the exposition text format (``# TYPE``-annotated, sanitized names).
 
 Timestamps are re-based to the trace's earliest span start, so traces
-begin at t=0 regardless of process uptime; worker spans share the
-parent's monotonic clock, so re-basing preserves cross-process
-alignment.
+begin at t=0 regardless of process uptime.
 """
 
 from __future__ import annotations
@@ -55,7 +52,6 @@ def span_rows(tracer: Tracer) -> list[dict]:
             "cat": s.category,
             "ts": s.start - base,
             "dur": s.duration,
-            "tid": s.tid,
             "args": {k: _clean(v) for k, v in s.attrs.items()},
         }
         for s in spans
@@ -75,9 +71,6 @@ def chrome_events(tracer: Tracer) -> list[dict]:
     spans = _sorted_spans(tracer)
     base = _base_time(spans)
     pid = tracer.pid
-    # tid 0 is the tracing process's own lane; shipped worker spans carry
-    # the worker's real pid as their tid and get a lane each.
-    tids = {s.tid for s in spans}
     events: list[dict] = [
         {
             "ph": "M",
@@ -85,18 +78,15 @@ def chrome_events(tracer: Tracer) -> list[dict]:
             "pid": pid,
             "tid": 0,
             "args": {"name": "repro"},
-        }
+        },
+        {
+            "ph": "M",
+            "name": "thread_name",
+            "pid": pid,
+            "tid": pid,
+            "args": {"name": "main"},
+        },
     ]
-    for tid in sorted(tids):
-        events.append(
-            {
-                "ph": "M",
-                "name": "thread_name",
-                "pid": pid,
-                "tid": tid if tid else pid,
-                "args": {"name": "main" if tid == 0 else f"worker-{tid}"},
-            }
-        )
     for s in spans:
         args = {k: _clean(v) for k, v in s.attrs.items()}
         # Chrome duration events carry no parent link; embed the span
@@ -112,7 +102,7 @@ def chrome_events(tracer: Tracer) -> list[dict]:
                 "ts": (s.start - base) * 1e6,
                 "dur": s.duration * 1e6,
                 "pid": pid,
-                "tid": s.tid if s.tid else pid,
+                "tid": pid,
                 "args": args,
             }
         )

@@ -100,9 +100,9 @@ def self_times(spans: list[TraceSpan]) -> dict[int | None, float]:
     """Per-span self time: duration minus direct children's durations.
 
     Spans without ids (foreign traces) contribute their full duration.
-    Negative self time (overlapping worker children shipped onto a
-    parent stage span) clamps to zero — the children genuinely ran
-    concurrently, so the parent has no exclusive share left.
+    Negative self time (children that ran concurrently, e.g. on other
+    tenants' lanes of a merged trace, summing past their parent) clamps
+    to zero — the parent has no exclusive share left.
     """
     child_sum: dict[int | None, float] = {}
     for span in spans:

@@ -15,11 +15,7 @@ This module is the only place in ``src/repro`` allowed to call
 ``time.perf_counter`` directly (enforced by
 ``tests/obs/test_timing_discipline.py``); every other wall-clock reading
 goes through :data:`clock` or through spans, so all timing shares one
-monotonic clock — which, being ``CLOCK_MONOTONIC`` on Linux, is also
-valid *across* forked worker processes: workers can time their partition
-work locally and ship raw ``(start, end)`` pairs back as primitives for
-the parent to register (:meth:`Tracer.add_span`) on the worker's own
-timeline lane.
+monotonic clock.
 
 The default everywhere is the shared :data:`NOOP_TRACER`: every call is
 a constant-time no-op on preallocated objects, so instrumented code pays
@@ -33,10 +29,10 @@ from __future__ import annotations
 import os
 import time
 
-#: The one wall clock of the system (monotonic, cross-fork comparable on
-#: Linux).  Code outside ``repro.obs`` that needs a raw reading — the
-#: engine's wall-seconds fields, the optimizer's phase timings — imports
-#: this instead of calling ``time.perf_counter`` itself.
+#: The one wall clock of the system (monotonic).  Code outside
+#: ``repro.obs`` that needs a raw reading — the engine's wall-seconds
+#: fields, the optimizer's phase timings — imports this instead of
+#: calling ``time.perf_counter`` itself.
 clock = time.perf_counter
 
 
@@ -84,7 +80,6 @@ class Span:
         "category",
         "start",
         "end",
-        "tid",
         "attrs",
     )
 
@@ -94,7 +89,6 @@ class Span:
         span_id: int,
         name: str,
         category: str,
-        tid: int,
         attrs: dict,
     ) -> None:
         self.tracer = tracer
@@ -102,7 +96,6 @@ class Span:
         self.parent_id: int | None = None
         self.name = name
         self.category = category
-        self.tid = tid
         self.attrs = attrs
         self.start = 0.0
         self.end = 0.0
@@ -142,9 +135,6 @@ class Tracer:
 
     * :meth:`span` opens a nested, attributed wall-clock span (use as a
       context manager);
-    * :meth:`add_span` registers an already-measured region — how work
-      timed in another process, shipped back as primitives, enters the
-      trace on its own ``tid`` lane;
     * :meth:`count` / :meth:`gauge` feed the deterministic
       :class:`MetricsRegistry`.
 
@@ -166,34 +156,7 @@ class Tracer:
 
     def span(self, name: str, category: str = "", **attrs) -> Span:
         self._next_id += 1
-        return Span(self, self._next_id, name, category, tid=0, attrs=attrs)
-
-    def add_span(
-        self,
-        name: str,
-        category: str,
-        start: float,
-        end: float,
-        tid: int = 0,
-        attrs: dict | None = None,
-        parent_id: int | str | None = "current",
-    ) -> Span:
-        """Register a completed region measured elsewhere (e.g. a worker).
-
-        ``parent_id="current"`` (the default) parents the span under
-        whatever span is open right now — for worker partition spans
-        that is the stage being executed when the pool returned.
-        """
-        self._next_id += 1
-        span = Span(self, self._next_id, name, category, tid, attrs or {})
-        if parent_id == "current":
-            span.parent_id = self._stack[-1].span_id if self._stack else None
-        else:
-            span.parent_id = parent_id
-        span.start = start
-        span.end = end
-        self.spans.append(span)
-        return span
+        return Span(self, self._next_id, name, category, attrs)
 
     def count(self, name: str, value: float = 1) -> None:
         self.metrics.inc(name, value)
@@ -262,9 +225,6 @@ class NoopTracer:
 
     def span(self, name: str, category: str = "", **attrs) -> _NoopSpan:
         return _NOOP_SPAN
-
-    def add_span(self, *args, **kwargs) -> None:
-        return None
 
     def absorb(self, other) -> None:
         pass

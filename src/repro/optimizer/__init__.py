@@ -20,9 +20,8 @@ lookup.  Three layers exploit this:
   :class:`.physical.PhysicalOptimizer` costs against a first-class
   Volcano :class:`.memo.Memo`, so a sub-plan shared by many alternatives
   is physically optimized once; binary operators prune dominated child
-  combinations with an exact branch-and-bound cut.
-  ``Optimizer(reuse_memo=False)`` re-plans each alternative from scratch;
-  results are identical (``tests/optimizer/test_memoization.py``).
+  combinations with an exact branch-and-bound cut.  Full eager rankings
+  of nine plan spaces are frozen in ``tests/fixtures/rankings/``.
 * **Group memo** (:mod:`.memo`, ``Optimizer(search="guided")``): the swap
   rules fire on *cells* of equivalent sub-flows instead of trees, each
   cell is costed once, and the top-k is extracted from the root cells —
@@ -32,9 +31,6 @@ lookup.  Three layers exploit this:
   rounds; ``Memo.invalidate(changed_ops)`` evicts only the dirty spine
   above operators whose hints or learned statistics changed, and
   ``Optimizer.reoptimize`` re-ranks bit-identically to a full rebuild.
-* **Parallel costing** (:mod:`.parallel`): ``Optimizer(jobs=N)`` shards
-  eager's alternative list across forked workers with per-worker memos
-  that are merged back into the shared one.
 """
 
 from .cardinality import CardinalityEstimator, EstStats, Hints

@@ -58,7 +58,7 @@ def iter_flows(
 
     Alternatives are produced in exact breadth-first discovery order —
     identical, prefix for prefix, to :func:`enumerate_flows` — so a
-    consumer that stops early (the sampler, guided planning's tie-break)
+    consumer that stops early (guided planning's tie-break)
     sees the same deterministic sequence the eager enumerator
     materializes.  ``body`` must be sink-free (use
     :func:`repro.core.plan.body`); the original flow is always yielded

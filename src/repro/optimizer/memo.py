@@ -4,8 +4,8 @@
 optimizer derives.  Hint-independent (legality only, never invalidated):
 the *cells* of the group memo — sets of equivalent sub-flows explored by
 firing the swap rules on cell expressions (:meth:`Memo.explore`) — plus
-record widths and, for the tree-at-a-time eager path, enumerated closures,
-neighbor lists and samples.  Hint-dependent: the per-cell option tables,
+record widths and, for the tree-at-a-time eager path, enumerated closures
+and neighbor lists.  Hint-dependent: the per-cell option tables,
 the per-tree options table, and the cardinality estimator's per-node
 cache (bound into the estimator via :meth:`Memo.bind`).
 
@@ -19,11 +19,6 @@ spine and reuses everything else verbatim.  An estimate (and hence a
 cost) depends only on the operators inside its sub-flow, so a surviving
 entry is bit-identical under the new estimator (pinned by the
 invalidation parity tests).
-
-**Worker merge.**  Parallel eager costing (:mod:`repro.optimizer.parallel`)
-merges the per-tree entries forked workers produced back through
-:meth:`Memo.adopt` / :meth:`Memo.merge` (first writer wins — entries are
-deterministic per node).
 """
 
 from __future__ import annotations
@@ -124,11 +119,6 @@ class Memo:
         #: Interned node -> its legal single-swap neighbors (tree-level
         #: enumeration; hint-independent, survives :meth:`invalidate`).
         self.neighbors: dict[Node, tuple[Node, ...]] = {}
-        #: (flow, limit, seed) -> sampled alternative subset, drawn during
-        #: expansion (reservoir).  Sampling is hint-independent, so cached
-        #: samples survive :meth:`invalidate` and keep ``reoptimize``
-        #: deterministic under ``max_alternatives``.
-        self.samples: dict[tuple[Node, int, int], tuple[Node, ...]] = {}
         #: The group memo's logical layer: ``classes`` maps an operator-
         #: name set to its cells by derived facts ``(out_attrs, unique_keys,
         #: row_preserving)``, ``exprs`` an expression ``(op, child cells)``
@@ -355,7 +345,7 @@ class Memo:
         The per-tree options table, the estimate cache and the per-cell
         option tables are evicted (a cell is dirty iff its name set
         contains a changed operator); widths, the cells themselves,
-        closures, neighbors and samples are hint-independent and survive.
+        closures and neighbors are hint-independent and survive.
         Returns the number of entries evicted.
         """
         victims = self._containing(frozenset(changed_ops))
@@ -370,45 +360,3 @@ class Memo:
             if hit:
                 evicted += 1
         return evicted
-
-    # -- worker merge ------------------------------------------------------
-
-    def adopt(
-        self,
-        table_items: Iterable[tuple[Node, tuple["PhysNode", ...]]],
-        est_items: Iterable[tuple[Node, EstStats]] = (),
-        width_items: Iterable[tuple[frozenset, float]] = (),
-    ) -> int:
-        """Merge worker-produced entries; existing entries win.
-
-        Per-node entries are deterministic (computed bottom-up from the
-        child entries, independent of which alternative triggered them),
-        so when two workers both produced an entry the copies are
-        structurally identical and keeping the first is exact.  Returns
-        the number of options-table entries adopted.
-        """
-        adopted = 0
-        for node, options in table_items:
-            if node not in self.table:
-                self.store(node, options)
-                adopted += 1
-        est_cache = self.est_cache
-        for node, est in est_items:
-            if node not in est_cache:
-                est_cache[node] = est
-        for key, width in width_items:
-            self.width_cache.setdefault(key, width)
-        return adopted
-
-    def merge(self, other: "Memo") -> int:
-        """Merge another memo's entries into this one (existing win)."""
-        count = self.adopt(
-            other.table.items(), other.est_cache.items(), other.width_cache.items()
-        )
-        for flow, closure in other.closures.items():
-            self.closures.setdefault(flow, closure)
-        for node, neighbors in other.neighbors.items():
-            self.neighbors.setdefault(node, neighbors)
-        for key, sample in other.samples.items():
-            self.samples.setdefault(key, sample)
-        return count

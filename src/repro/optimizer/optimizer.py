@@ -18,7 +18,6 @@ bit-identical plans for that prefix.
 from __future__ import annotations
 
 import math
-import random
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -41,8 +40,8 @@ class SearchStats:
     """Work accounting for one :meth:`Optimizer.optimize` call.
 
     ``expanded`` counts the logical alternatives the search covered
-    (the trees the memo's root cells stand for under guided, the sampled
-    closure under eager); ``costed`` counts alternatives whose physical
+    (the trees the memo's root cells stand for under guided, the closure
+    under eager); ``costed`` counts alternatives whose physical
     plan was derived by the tree-level search; ``pruned`` is the rest;
     ``bounds_computed`` counts the cell option tables computed in this
     call (surviving ones are free); ``estimate_calls`` counts
@@ -129,13 +128,10 @@ class OptimizationResult:
 class Optimizer:
     """Enumerate + physically optimize + rank.
 
-    With ``reuse_memo`` (the default) a single :class:`PhysicalOptimizer`
-    — and hence a single Volcano :class:`~repro.optimizer.memo.Memo` of
-    interned sub-plan -> physical options — is shared across every
-    enumerated alternative, so a subtree occurring in hundreds of
-    alternatives is planned once.  ``reuse_memo=False`` re-plans each
-    alternative from scratch (the reference path; results are identical,
-    just slower).
+    A single :class:`PhysicalOptimizer` — and hence a single Volcano
+    :class:`~repro.optimizer.memo.Memo` of interned sub-plan -> physical
+    options — is shared across every enumerated alternative, so a
+    subtree occurring in hundreds of alternatives is planned once.
 
     **Incremental re-costing.**  :meth:`optimize` accepts an explicit
     ``memo`` (see :meth:`new_memo`) whose surviving entries — options,
@@ -146,13 +142,6 @@ class Optimizer:
     :meth:`optimize` call builds a fresh memo, so one ``Optimizer``
     instance is safely re-entrant across plans and repeated calls.
 
-    **Parallel costing.**  With ``jobs > 1`` the alternative list is
-    sharded across forked worker processes, each costing against its own
-    copy of the shared memo; worker memos are merged back afterwards
-    (:mod:`repro.optimizer.parallel`).  Results are bit-identical to
-    sequential costing; on platforms without ``fork`` the setting is
-    ignored.
-
     **Search strategies.**  ``search="eager"`` (the default and the
     parity reference) costs every candidate and sorts.  ``search="guided"``
     plans over the group memo (:meth:`_optimize_guided`): cells of
@@ -160,17 +149,7 @@ class Optimizer:
     ``top_k`` cheapest trees extracted from the root cells — the
     bit-identical top-``k`` eager would return, without building the
     closure.  ``top_k`` trims eager's ranking the same way, so the two
-    strategies stay interchangeable; under ``max_alternatives`` guided
-    *is* the trimmed eager ranking of the sample, and ``jobs`` has
-    nothing to shard when only ``top_k`` trees are planned tree by tree.
-
-    **Plan-space sampling.**  ``max_alternatives=N`` ranks a deterministic
-    sample of the closure — the implemented flow plus ``N - 1``
-    alternatives reservoir-sampled without replacement by ``sample_seed``
-    *during* expansion (the closure never materializes) — for flows
-    whose closure explodes; the sampled alternatives are still costed
-    through the shared memo, whose branch-and-bound cut keeps each
-    costing cost-bounded.  ``None`` (the default) ranks the full closure.
+    strategies stay interchangeable.
 
     ``estimator_factory`` is the cardinality-estimation injection point:
     it is called once per :meth:`optimize` with ``(ctx, hints)`` and must
@@ -186,39 +165,17 @@ class Optimizer:
         hints: dict[str, Hints] | None = None,
         mode: AnnotationMode = AnnotationMode.SCA,
         params: CostParams | None = None,
-        reuse_memo: bool = True,
         estimator_factory: Callable[
             [PlanContext, dict[str, Hints]], CardinalityEstimator
         ]
         | None = None,
-        jobs: int = 1,
-        max_alternatives: int | None = None,
-        sample_seed: int = 0,
         search: str = "eager",
         top_k: int | None = None,
         tracer=None,
     ) -> None:
-        if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
-            raise OptimizationConfigError(
-                f"jobs must be an integer >= 1, got {jobs!r}"
-            )
-        if jobs > 1 and not reuse_memo:
-            raise OptimizationConfigError(
-                "jobs > 1 requires reuse_memo=True: the reference path "
-                "re-plans every alternative sequentially from scratch"
-            )
-        if max_alternatives is not None and max_alternatives < 1:
-            raise OptimizationConfigError(
-                f"max_alternatives must be None or >= 1, got {max_alternatives}"
-            )
         if search not in ("eager", "guided"):
             raise OptimizationConfigError(
                 f"search must be 'eager' or 'guided', got {search!r}"
-            )
-        if search == "guided" and not reuse_memo:
-            raise OptimizationConfigError(
-                "search='guided' requires reuse_memo=True: the cells and "
-                "their option tables live in the shared memo"
             )
         if top_k is not None and (
             not isinstance(top_k, int) or isinstance(top_k, bool) or top_k < 1
@@ -231,11 +188,7 @@ class Optimizer:
         self.mode = mode
         self.params = params or CostParams()
         self.ctx = PlanContext(catalog, mode)
-        self.reuse_memo = reuse_memo
         self.estimator_factory = estimator_factory or CardinalityEstimator
-        self.jobs = jobs
-        self.max_alternatives = max_alternatives
-        self.sample_seed = sample_seed
         self.search = search
         #: Ranked-prefix length to return (see :attr:`_prefix` for ``None``).
         self.top_k = top_k
@@ -272,25 +225,18 @@ class Optimizer:
         next call; the caller owns invalidation across hint changes.
         Without one, a fresh memo is used per call.
         """
-        if memo is not None and not self.reuse_memo:
-            raise OptimizationError(
-                "an explicit memo requires reuse_memo=True (the reference "
-                "path re-plans every alternative from scratch)"
-            )
         flow = plan_body(plan)
         tracer = self.tracer
         root_span = tracer.span("optimizer.optimize", category="optimizer")
         with root_span:
             estimator = self.estimator_factory(self.ctx, self.hints)
             self.last_estimator = estimator
-            if self.search == "guided" and self.max_alternatives is None:
-                ranked, stats, enum_secs, phys_secs = self._optimize_guided(
-                    flow, memo, estimator
-                )
-            else:
-                ranked, stats, enum_secs, phys_secs = self._optimize_eager(
-                    flow, memo, estimator
-                )
+            search = (
+                self._optimize_guided
+                if self.search == "guided"
+                else self._optimize_eager
+            )
+            ranked, stats, enum_secs, phys_secs = search(flow, memo, estimator)
         root_span.set(
             alternatives=stats.costed,
             best_cost=ranked[0].cost if ranked else 0.0,
@@ -338,37 +284,32 @@ class Optimizer:
     ) -> tuple[list[RankedPlan], SearchStats, float, float]:
         """The reference strategy: cost every candidate, sort, rank."""
         tracer = self.tracer
+        shared_memo = memo if memo is not None else self.new_memo()
+        shared_memo.bind(estimator)
         t0 = clock()
         with tracer.span("optimizer.enumerate", category="optimizer") as enum_span:
-            sampled = self._candidates(flow, memo)
-        enum_span.set(sampled=len(sampled))
+            # Swap legality is hint-independent: the cached closure
+            # survives invalidation.
+            closure = shared_memo.closures.get(flow)
+            if closure is None:
+                closure = shared_memo.closures[flow] = tuple(
+                    iter_flows(flow, self.ctx, neighbor_memo=shared_memo.neighbors)
+                )
+        enum_span.set(alternatives=len(closure))
         t1 = clock()
-        scored: list[tuple[float, Node, PhysNode]] = []
-        cost_span = tracer.span(
-            "optimizer.cost",
-            category="optimizer",
-            alternatives=len(sampled),
-            jobs=self.jobs,
+        physical_optimizer = PhysicalOptimizer(
+            self.ctx, estimator, self.params, memo=shared_memo
         )
-        with cost_span:
-            if self.reuse_memo:
-                shared_memo = memo if memo is not None else self.new_memo()
-                shared_memo.bind(estimator)
-                for alt, phys in self._cost_all(sampled, estimator, shared_memo):
-                    scored.append((phys.cost_total, alt, phys))
-            else:
-                for alt in sampled:
-                    with tracer.span(
-                        "optimizer.alternative", category="optimizer"
-                    ):
-                        physical_optimizer = PhysicalOptimizer(
-                            self.ctx, estimator, self.params
-                        )
-                        phys = physical_optimizer.optimize(alt)
-                    scored.append((phys.cost_total, alt, phys))
+        scored: list[tuple[float, Node, PhysNode]] = []
+        with tracer.span(
+            "optimizer.cost", category="optimizer", alternatives=len(closure)
+        ):
+            for alt in closure:
+                with tracer.span("optimizer.alternative", category="optimizer"):
+                    phys = physical_optimizer.optimize(alt)
+                scored.append((phys.cost_total, alt, phys))
         t2 = clock()
-        # Stable sort: equal-cost plans keep enumeration order, identical
-        # between the sequential, memo-reusing, and parallel paths.
+        # Stable sort: equal-cost plans keep enumeration order.
         scored.sort(key=lambda item: item[0])
         ranked = [
             RankedPlan(rank=i + 1, body=alt, physical=phys)
@@ -376,7 +317,7 @@ class Optimizer:
         ]
         ranked = ranked[: self._prefix]
         stats = SearchStats(
-            "eager", len(sampled), len(sampled), 0, 0, estimator.estimate_calls
+            "eager", len(closure), len(closure), 0, 0, estimator.estimate_calls
         )
         return ranked, stats, t1 - t0, t2 - t1
 
@@ -401,13 +342,13 @@ class Optimizer:
         with tracer.span("optimizer.enumerate", category="optimizer") as enum_span:
             roots = shared_memo.explore(flow, self.ctx)
             expanded = shared_memo.tree_count(roots)
-        enum_span.set(sampled=expanded)
+        enum_span.set(alternatives=expanded)
         t1 = clock()
         physical_optimizer = PhysicalOptimizer(
             self.ctx, estimator, self.params, memo=shared_memo
         )
         with tracer.span(
-            "optimizer.cost", category="optimizer", alternatives=expanded, jobs=1
+            "optimizer.cost", category="optimizer", alternatives=expanded
         ):
             want = k
             while True:
@@ -474,92 +415,6 @@ class Optimizer:
                         break
             order.sort(key=lambda alt: (cheapest[alt], index.get(alt, 0)))
         return order[:k]
-
-    def _candidates(self, flow: Node, memo: Memo | None) -> tuple[Node, ...]:
-        """The (possibly sampled) candidate tuple, cached in the memo.
-
-        Swap legality and sampling depend on derived plan properties and
-        the seed, never on hints, so memo-cached closures and samples
-        stay valid across invalidations.
-        """
-        limit = self.max_alternatives
-        neighbor_memo = memo.neighbors if memo is not None else None
-        if limit is None:
-            if memo is not None:
-                cached = memo.closures.get(flow)
-                if cached is not None:
-                    return cached
-            closure = tuple(
-                iter_flows(flow, self.ctx, neighbor_memo=neighbor_memo)
-            )
-            if memo is not None:
-                memo.closures[flow] = closure
-            return closure
-        key = (flow, limit, self.sample_seed)
-        if memo is not None:
-            cached_sample = memo.samples.get(key)
-            if cached_sample is not None:
-                return cached_sample
-        sampled = self._reservoir(flow, limit, neighbor_memo)
-        if memo is not None:
-            memo.samples[key] = sampled
-        return sampled
-
-    def _reservoir(
-        self, flow: Node, limit: int, neighbor_memo: dict | None
-    ) -> tuple[Node, ...]:
-        """Deterministic sample drawn *during* expansion (Algorithm R).
-
-        The implemented flow is always kept; the remaining ``limit - 1``
-        slots hold a uniform without-replacement sample of the rest of
-        the closure, which therefore never materializes.  The result is
-        ordered by discovery index, keeping equal-cost tie-breaks stable.
-        """
-        rng = random.Random(self.sample_seed)
-        flows = iter_flows(flow, self.ctx, neighbor_memo=neighbor_memo)
-        original = next(flows)
-        keep = limit - 1
-        reservoir: list[tuple[int, Node]] = []
-        seen = 0
-        for idx, alt in enumerate(flows, start=1):
-            seen += 1
-            if seen <= keep:
-                reservoir.append((idx, alt))
-                continue
-            slot = rng.randrange(seen)
-            if slot < keep:
-                reservoir[slot] = (idx, alt)
-        reservoir.sort()
-        return (original, *(alt for _, alt in reservoir))
-
-    def _cost_all(
-        self,
-        alternatives: tuple[Node, ...],
-        estimator: CardinalityEstimator,
-        memo: Memo,
-    ) -> list[tuple[Node, PhysNode]]:
-        """Cost alternatives against the shared memo, forking if asked."""
-        if self.jobs > 1 and len(alternatives) > 1:
-            from . import parallel
-
-            if parallel.available():
-                return parallel.cost_alternatives(
-                    alternatives,
-                    self.ctx,
-                    estimator,
-                    self.params,
-                    memo,
-                    min(self.jobs, len(alternatives)),
-                    tracer=self.tracer,
-                )
-        physical_optimizer = PhysicalOptimizer(
-            self.ctx, estimator, self.params, memo=memo
-        )
-        scored = []
-        for alt in alternatives:
-            with self.tracer.span("optimizer.alternative", category="optimizer"):
-                scored.append((alt, physical_optimizer.optimize(alt)))
-        return scored
 
 
 def optimize(

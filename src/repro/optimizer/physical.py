@@ -17,9 +17,9 @@ instance can be shared across every enumerated alternative of a plan
 space: a subtree that appears in hundreds of alternatives is physically
 optimized exactly once (hash-consing makes the memo key an identity
 lookup).  The memo is a first-class subsystem: it can be passed in to be
-shared across optimizer instances, invalidated along the dirty spine of
-changed operators between feedback rounds, and sharded across worker
-processes (see :mod:`repro.optimizer.memo`).  Binary operators
+shared across optimizer instances and invalidated along the dirty spine
+of changed operators between feedback rounds (see
+:mod:`repro.optimizer.memo`).  Binary operators
 additionally apply an exact branch-and-bound cut: once every achievable
 output partitioning has an option, child combinations whose summed
 subtree costs cannot beat any kept option are skipped without generating
@@ -204,7 +204,7 @@ class PhysicalOptimizer:
         self.params = params
         # The Volcano memo, shared across every alternative this instance
         # plans; a caller-provided one also shares entries across
-        # instances, feedback rounds (invalidation) and worker processes.
+        # instances and feedback rounds (invalidation).
         self._memo = memo if memo is not None else Memo(op_names=ctx.op_names)
         #: Cell option tables this instance computed (not found in the memo).
         self.tables_computed = 0

@@ -1,5 +1,6 @@
 """Partitioning primitives: determinism, co-location, conservation."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,41 @@ class TestStableHash:
     def test_hash_respects_key_equality(self, a, b):
         if a == b:
             assert stable_hash(a) == stable_hash(b)
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(-(2**70), 2**70),
+                st.floats(allow_nan=False),
+                st.booleans(),
+                st.fractions(),
+                st.decimals(allow_nan=False),
+                # small values that are also exactly ints or binary floats
+                st.sampled_from(
+                    [0, 1, -1, 0.5, -2.25, 3, Fraction(1, 2), Fraction(3),
+                     Decimal("0.5"), Decimal("-0"), Decimal("3.000"),
+                     Decimal("0.1"), Fraction(1, 10), float("inf")]
+                ),
+            ),
+            min_size=2,
+            max_size=2,
+        )
+    )
+    def test_equal_numbers_hash_equal(self, pair):
+        a, b = pair
+        if a == b:
+            assert stable_hash(a) == stable_hash(b)
+
+    def test_equal_exact_numbers_hash_equal(self):
+        assert stable_hash(Fraction(1)) == stable_hash(1) == stable_hash(Decimal(1))
+        assert stable_hash(Decimal("0.5")) == stable_hash(0.5)
+        assert stable_hash(Fraction(1, 2)) == stable_hash(0.5)
+        assert stable_hash(Decimal("0.1")) == stable_hash(Fraction(1, 10))
+        assert stable_hash(Decimal("-Infinity")) == stable_hash(float("-inf"))
+        # too large for a float: hashed by its exact ratio, no overflow
+        huge = Fraction(10**400 + 1, 2)
+        assert stable_hash(huge) == stable_hash(Fraction(10**400 + 1, 2))
 
     def test_non_integer_floats_keep_distinct_path(self):
         assert stable_hash(2.5) == stable_hash(2.5)

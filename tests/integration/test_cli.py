@@ -192,6 +192,13 @@ def test_unknown_workload_rejected():
         main(["analyze", "nope"])
 
 
+def test_experiment_rejects_removed_jobs_flag(capsys):
+    """The costing pool is gone, and so is ``--jobs``."""
+    with pytest.raises(SystemExit):
+        main(["experiment", "tpch_q15", "--jobs", "2"])
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_experiment_warns_on_unknown_store_extension(capsys, tmp_path):
     """A typo'd extension must not *silently* fall back to JSON: the
     sniff warns (naming the path and the fallback) and still works."""

@@ -1,9 +1,8 @@
 """Wall-clock discipline: one clock for the whole codebase.
 
 Every wall-clock reading in ``src/repro`` must go through
-``repro.obs.tracer.clock`` so traces, reported wall seconds, and
-fork-worker spans all share one monotonic time base (and tests can fake
-it in one place).  This scan bans direct ``time.perf_counter`` /
+``repro.obs.tracer.clock`` so traces and reported wall seconds share
+one monotonic time base (and tests can fake it in one place).  This scan bans direct ``time.perf_counter`` /
 ``time.monotonic`` / ``time.time`` use anywhere outside the tracer
 module that defines the alias.
 """

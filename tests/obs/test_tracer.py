@@ -20,6 +20,7 @@ from repro.obs import (
     write_prometheus,
     write_trace,
 )
+from repro.obs.summarize import TraceSpan
 
 
 class FakeClock:
@@ -85,22 +86,6 @@ class TestTracer:
         assert len(tracer.spans) == 1
         assert tracer._stack == []
 
-    def test_add_span_parents_under_current(self):
-        tracer = make_tracer()
-        with tracer.span("stage") as stage:
-            worker = tracer.add_span(
-                "engine.partition", "engine", 10.0, 12.5, tid=4321,
-                attrs={"partition": 0},
-            )
-        assert worker.parent_id == stage.span_id
-        assert worker.tid == 4321
-        assert worker.duration == 2.5
-
-    def test_add_span_explicit_parent(self):
-        tracer = make_tracer()
-        orphan = tracer.add_span("x", "engine", 0.0, 1.0, parent_id=None)
-        assert orphan.parent_id is None
-
     def test_metrics(self):
         registry = MetricsRegistry()
         registry.inc("runs")
@@ -130,7 +115,6 @@ class TestNoopTracer:
         with span as entered:
             assert entered is span
         assert span.set(b=2) is span
-        assert NOOP_TRACER.add_span("x", "y", 0.0, 1.0) is None
         NOOP_TRACER.count("c")
         NOOP_TRACER.gauge("g", 1.0)
         # Stateless: nothing accumulated anywhere.
@@ -141,15 +125,13 @@ class TestNoopTracer:
 
 
 def traced_sample():
-    """A tracer with nested spans, a worker lane, and metrics."""
+    """A tracer with nested spans and metrics."""
     tracer = make_tracer()
     with tracer.span("engine.execute", category="engine", plan="p"):
         with tracer.span("engine.op", category="engine", op="join"):
             pass
-        tracer.add_span(
-            "engine.partition", "engine", 100.0, 101.0, tid=999,
-            attrs={"partition": 0},
-        )
+        with tracer.span("engine.partition", category="engine", partition=0):
+            pass
     with tracer.span("optimizer.optimize", category="optimizer"):
         pass
     tracer.count("engine.executions")
@@ -178,7 +160,7 @@ class TestExport:
             by_name["engine.op"].parent_id
             == by_name["engine.execute"].span_id
         )
-        assert by_name["engine.partition"].tid == 999
+        assert by_name["engine.partition"].tid == 0
 
     def test_chrome_round_trip_and_metadata(self, tmp_path):
         tracer = traced_sample()
@@ -188,12 +170,11 @@ class TestExport:
         events = payload["traceEvents"]
         x_events = [e for e in events if e["ph"] == "X"]
         assert len(x_events) == count == len(tracer.spans)
-        # Perfetto-style thread metadata: a main lane plus the worker pid.
-        thread_names = {
+        # Perfetto-style thread metadata: the tracing process's one lane.
+        thread_names = [
             e["args"]["name"] for e in events if e["name"] == "thread_name"
-        }
-        assert "main" in thread_names
-        assert "worker-999" in thread_names
+        ]
+        assert thread_names == ["main"]
         # Timestamps are microseconds.
         op = next(e for e in x_events if e["name"] == "engine.op")
         assert op["dur"] == pytest.approx(1.0 * 1e6)
@@ -259,16 +240,27 @@ class TestSummarize:
         assert selfs[outer.span_id] == pytest.approx(outer.duration - 2.0)
 
     def test_negative_self_time_clamps_to_zero(self):
-        # Concurrent worker children legitimately exceed the parent span.
-        tracer = make_tracer()
-        with tracer.span("stage") as stage:
-            for pid in (11, 12):
-                tracer.add_span(
-                    "part", "engine", 0.0, 100.0, tid=pid,
-                )
-        spans = _as_trace_spans(tracer)
-        selfs = self_times(spans)
-        assert selfs[stage.span_id] == 0.0
+        # Children on concurrent lanes can sum past their parent's span.
+        spans = [
+            TraceSpan(1, None, "stage", "engine", 0.0, 10.0, 0),
+            TraceSpan(2, 1, "part", "engine", 0.0, 8.0, 11),
+            TraceSpan(3, 1, "part", "engine", 0.0, 8.0, 12),
+        ]
+        assert self_times(spans)[1] == 0.0
+
+    def test_jsonl_tids_load_as_lanes(self, tmp_path):
+        # Merged traces (e.g. one lane per tenant) carry their own tids.
+        rows = [
+            {"id": 1, "parent": None, "name": "serve.request", "cat": "serve",
+             "ts": 0.0, "dur": 1.0, "tid": 1},
+            {"id": 2, "parent": None, "name": "serve.request", "cat": "serve",
+             "ts": 0.5, "dur": 1.0, "tid": 2},
+        ]
+        path = tmp_path / "lanes.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        spans = load_trace(path)
+        assert [s.tid for s in spans] == [1, 2]
+        assert "(2 timeline lane(s))" in render_summary(spans)
 
     def test_summarize_aggregates_by_category_and_name(self):
         per_cat, per_name = summarize(_as_trace_spans(traced_sample()))
@@ -292,8 +284,6 @@ class TestSummarize:
 
 
 def _as_trace_spans(tracer):
-    from repro.obs.summarize import TraceSpan
-
     return [
         TraceSpan(
             span_id=s.span_id,
@@ -302,7 +292,7 @@ def _as_trace_spans(tracer):
             category=s.category,
             start=s.start,
             duration=s.duration,
-            tid=s.tid,
+            tid=0,
         )
         for s in tracer.spans
     ]

@@ -132,25 +132,6 @@ class TestOptimizerParity:
             == len(got.ranked)
         )
 
-    def test_parallel_costing_identical_traced_vs_untraced(self, optimized):
-        workload, _ = optimized["tpch_q7"]
-        tracer = Tracer()
-        want = Optimizer(
-            workload.catalog, workload.hints, AnnotationMode.SCA,
-            workload.params, jobs=2,
-        ).optimize(workload.plan)
-        got = Optimizer(
-            workload.catalog, workload.hints, AnnotationMode.SCA,
-            workload.params, jobs=2, tracer=tracer,
-        ).optimize(workload.plan)
-        assert [(p.rank, p.cost) for p in got.ranked] == [
-            (p.rank, p.cost) for p in want.ranked
-        ]
-        dispatch = [
-            s for s in tracer.spans if s.name == "optimizer.parallel.dispatch"
-        ]
-        assert dispatch  # the pool path ran and was traced
-
 
 class TestFeedbackParity:
     def test_feedback_rounds_identical_traced_vs_untraced(self, optimized):

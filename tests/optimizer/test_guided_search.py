@@ -14,11 +14,10 @@ are in ``test_ranking_fixtures.py``, the memo-is-the-closure property in
   dirty-spine ``Memo.invalidate`` + re-plan.
 * Float-equal costs are ranked in eager's discovery order, and the
   closure is streamed for that only when such a tie sits in the answer.
-* Guided composes with plan-space sampling (``max_alternatives``).
 * The work counters (:class:`~repro.optimizer.optimizer.SearchStats`)
   account for the whole space while only ``k`` trees are planned tree
   by tree.
-* Configuration errors (bad ``jobs`` / ``search`` / ``top_k``, guided
+* Configuration errors (bad ``search`` / ``top_k``, guided
   under feedback) raise subclasses of ``ValueError``
   so callers can catch them without importing repro error types.
 """
@@ -310,31 +309,6 @@ def test_closure_is_not_streamed_without_a_tie(name, monkeypatch):
     assert len({p.cost for p in result.ranked}) == len(result.ranked)
 
 
-# -- composition: sampling --------------------------------------------------
-
-
-@pytest.mark.parametrize("seed", [0, 7])
-def test_guided_matches_eager_under_sampling(seed):
-    workload = WORKLOADS["tpch_q7"]
-    kwargs = dict(max_alternatives=40, sample_seed=seed)
-    eager = Optimizer(
-        workload.catalog, workload.hints, AnnotationMode.SCA, workload.params,
-        **kwargs,
-    ).optimize(workload.plan)
-    guided = Optimizer(
-        workload.catalog, workload.hints, AnnotationMode.SCA, workload.params,
-        search="guided", top_k=3, **kwargs,
-    ).optimize(workload.plan)
-    assert eager.plan_count == 40
-    assert_prefix_identical(guided, eager, 3)
-    # and the sample itself is deterministic per seed
-    again = Optimizer(
-        workload.catalog, workload.hints, AnnotationMode.SCA, workload.params,
-        search="guided", top_k=3, **kwargs,
-    ).optimize(workload.plan)
-    assert_prefix_identical(guided, again, 3)
-
-
 # -- work accounting -------------------------------------------------------
 
 
@@ -392,39 +366,49 @@ def test_search_stats_exported_as_counters():
 # -- configuration errors --------------------------------------------------
 
 
-@pytest.mark.parametrize("bad", [0, -2, 1.5, True, "4"])
-def test_optimizer_jobs_validation_is_a_value_error(bad):
-    workload = WORKLOADS["textmining"]
-    with pytest.raises(ValueError, match="jobs"):
-        Optimizer(
-            workload.catalog, workload.hints, AnnotationMode.SCA,
-            workload.params, jobs=bad,
-        )
-    # and still catchable as the subsystem error, for existing callers
-    with pytest.raises(OptimizationError):
-        Optimizer(
-            workload.catalog, workload.hints, AnnotationMode.SCA,
-            workload.params, jobs=bad,
-        )
-
-
 @pytest.mark.parametrize(
     "kwargs",
     [
         {"search": "bestfirst"},
-        {"search": "guided", "reuse_memo": False},
         {"top_k": 0},
         {"top_k": -3},
         {"top_k": 1.5},
         {"top_k": True},
+        {"top_k": "3"},
+        {"search": None},
     ],
 )
 def test_search_and_top_k_validation(kwargs):
     workload = WORKLOADS["textmining"]
-    with pytest.raises(OptimizationConfigError):
+    with pytest.raises(OptimizationConfigError) as raised:
         Optimizer(
             workload.catalog, workload.hints, AnnotationMode.SCA,
             workload.params, **kwargs,
+        )
+    # a ValueError, and still catchable as the subsystem error
+    assert isinstance(raised.value, ValueError)
+    assert isinstance(raised.value, OptimizationError)
+
+
+@pytest.mark.parametrize(
+    "option",
+    [
+        {"jobs": 2},
+        {"max_alternatives": 40},
+        {"sample_seed": 7},
+        {"reuse_memo": False},
+    ],
+    ids=lambda option: next(iter(option)),
+)
+def test_removed_planner_options_are_rejected(option):
+    """Eager and guided are the only planner paths: the costing pool,
+    plan-space sampling and the unmemoized path are gone, and a caller
+    still passing their options fails loudly instead of being ignored."""
+    workload = WORKLOADS["textmining"]
+    with pytest.raises(TypeError, match=next(iter(option))):
+        Optimizer(
+            workload.catalog, workload.hints, AnnotationMode.SCA,
+            workload.params, **option,
         )
 
 

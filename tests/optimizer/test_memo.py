@@ -13,7 +13,6 @@ caller passes a memo explicitly.
 import pytest
 
 from repro.core import AnnotationMode
-from repro.core.errors import OptimizationError
 from repro.core.plan import body as plan_body, signature
 from repro.optimizer import (
     CardinalityEstimator,
@@ -196,28 +195,6 @@ def test_memo_reuse_without_changes_is_identical(workloads):
     assert_identical(again, first)
 
 
-def test_memo_merge_combines_entries(workloads):
-    w = workloads["clickstream"]
-    opt = Optimizer(w.catalog, w.hints, AnnotationMode.SCA, w.params)
-    a, b = opt.new_memo(), opt.new_memo()
-    opt.optimize(w.plan, memo=a)
-    opt.optimize(w.plan, memo=b)
-    merged = opt.new_memo()
-    assert merged.merge(a) == len(a)
-    assert merged.merge(b) == 0  # everything already present; first wins
-    assert set(merged.table) == set(a.table)
-    assert set(merged.closures) == set(a.closures)
-
-
-def test_explicit_memo_requires_reuse_memo():
-    w = build_q15()
-    opt = Optimizer(
-        w.catalog, w.hints, AnnotationMode.SCA, w.params, reuse_memo=False
-    )
-    with pytest.raises(OptimizationError):
-        opt.optimize(w.plan, memo=Memo())
-
-
 # -- optimizer re-entrancy (satellite regression) ------------------------------
 
 
@@ -270,85 +247,3 @@ def test_physical_optimizer_default_memo_is_private(workloads):
     assert a.memo is not b.memo
     a.optimize(plan_body(w.plan))
     assert len(b.memo) == 0
-
-
-# -- plan-space sampling (satellite) ------------------------------------------
-
-
-def test_sampling_full_closure_when_unlimited(workloads):
-    w = workloads["tpch_q7"]
-    unlimited = Optimizer(
-        w.catalog, w.hints, AnnotationMode.SCA, w.params, max_alternatives=None
-    ).optimize(w.plan)
-    reference = Optimizer(
-        w.catalog, w.hints, AnnotationMode.SCA, w.params
-    ).optimize(w.plan)
-    assert_identical(unlimited, reference)
-
-
-def test_sampling_bounds_and_determinism(workloads):
-    w = workloads["tpch_q7"]
-
-    def run(seed):
-        return Optimizer(
-            w.catalog,
-            w.hints,
-            AnnotationMode.SCA,
-            w.params,
-            max_alternatives=40,
-            sample_seed=seed,
-        ).optimize(w.plan)
-
-    a, b, c = run(7), run(7), run(8)
-    assert a.plan_count == 40
-    assert_identical(a, b)  # deterministic given the seed
-    assert {signature(p.body) for p in a.ranked} != {
-        signature(p.body) for p in c.ranked
-    } or [p.cost for p in a.ranked] != [p.cost for p in c.ranked]
-    # the implemented flow is always part of the sample
-    flow = plan_body(w.plan)
-    assert any(p.body is flow for p in a.ranked)
-
-
-def test_sampling_ranks_are_subset_consistent(workloads):
-    """Sampled plans carry the same costs as in the full ranking."""
-    w = workloads["tpch_q7"]
-    full = Optimizer(
-        w.catalog, w.hints, AnnotationMode.SCA, w.params
-    ).optimize(w.plan)
-    cost_of = {p.body: p.cost for p in full.ranked}
-    sampled = Optimizer(
-        w.catalog,
-        w.hints,
-        AnnotationMode.SCA,
-        w.params,
-        max_alternatives=25,
-        sample_seed=3,
-    ).optimize(w.plan)
-    for plan in sampled.ranked:
-        assert cost_of[plan.body] == plan.cost
-    costs = [p.cost for p in sampled.ranked]
-    assert costs == sorted(costs)
-
-
-def test_sampling_noop_when_closure_small():
-    w = build_q15()  # 3 alternatives
-    sampled = Optimizer(
-        w.catalog, w.hints, AnnotationMode.SCA, w.params,
-        max_alternatives=10, sample_seed=0,
-    ).optimize(w.plan)
-    reference = Optimizer(
-        w.catalog, w.hints, AnnotationMode.SCA, w.params
-    ).optimize(w.plan)
-    assert_identical(sampled, reference)
-
-
-def test_sampling_validates_arguments():
-    w = build_q15()
-    with pytest.raises(OptimizationError):
-        Optimizer(w.catalog, max_alternatives=0)
-    with pytest.raises(OptimizationError):
-        Optimizer(w.catalog, jobs=0)
-    with pytest.raises(OptimizationError):
-        # the reference path is sequential by definition
-        Optimizer(w.catalog, reuse_memo=False, jobs=2)

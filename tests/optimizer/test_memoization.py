@@ -1,18 +1,25 @@
 """The shared Volcano memo must not change optimization results.
 
-``Optimizer(reuse_memo=True)`` shares one ``PhysicalOptimizer`` — and
-hence one memo table of interned sub-plan -> pruned physical options —
-across every enumerated alternative.  These tests pin that the memoized
-results are plan-for-plan identical (ranked order, costs, shipping and
-local strategies) to the unmemoized reference on all four paper
-workloads, in both annotation modes where applicable.
+Eager planning shares one ``PhysicalOptimizer`` — and hence one memo
+table of interned sub-plan -> pruned physical options — across every
+enumerated alternative.  These tests pin that its results are
+plan-for-plan identical (ranked order, costs, shipping and local
+strategies) to an unmemoized reference built here, which plans every
+alternative with a fresh ``PhysicalOptimizer`` and stable-sorts by cost,
+on all four paper workloads, in both annotation modes.
 """
 
 import pytest
 
 from repro.core import AnnotationMode
-from repro.core.plan import signature
-from repro.optimizer import Optimizer
+from repro.core.plan import body as plan_body, signature
+from repro.optimizer import (
+    CardinalityEstimator,
+    Optimizer,
+    PlanContext,
+    enumerate_flows,
+)
+from repro.optimizer.physical import PhysicalOptimizer
 from repro.workloads import (
     build_clickstream,
     build_q7,
@@ -33,27 +40,39 @@ def workloads():
     return {name: build() for name, build in BUILDERS.items()}
 
 
-def optimize(workload, mode, reuse_memo):
+def optimize(workload, mode):
     return Optimizer(
-        workload.catalog, workload.hints, mode, workload.params,
-        reuse_memo=reuse_memo,
+        workload.catalog, workload.hints, mode, workload.params
     ).optimize(workload.plan)
+
+
+def unmemoized(workload, mode):
+    """(cost, alternative, physical) per alternative, each planned from
+    scratch, in eager's order: stable sort over discovery order."""
+    ctx = PlanContext(workload.catalog, mode)
+    estimator = CardinalityEstimator(ctx, workload.hints)
+    scored = []
+    for alt in enumerate_flows(plan_body(workload.plan), ctx):
+        phys = PhysicalOptimizer(ctx, estimator, workload.params).optimize(alt)
+        scored.append((phys.cost_total, alt, phys))
+    scored.sort(key=lambda item: item[0])
+    return scored
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 @pytest.mark.parametrize("mode", [AnnotationMode.SCA, AnnotationMode.MANUAL])
 def test_memoized_matches_unmemoized(workloads, name, mode):
     workload = workloads[name]
-    memoized = optimize(workload, mode, reuse_memo=True)
-    reference = optimize(workload, mode, reuse_memo=False)
-    assert memoized.plan_count == reference.plan_count
-    for got, want in zip(memoized.ranked, reference.ranked):
-        assert got.rank == want.rank
-        assert signature(got.body) == signature(want.body)
-        assert got.cost == want.cost  # exact float equality, not approx
+    memoized = optimize(workload, mode)
+    reference = unmemoized(workload, mode)
+    assert memoized.plan_count == len(reference)
+    assert len(memoized.ranked) == len(reference)
+    for got, (cost, alt, phys) in zip(memoized.ranked, reference):
+        assert signature(got.body) == signature(alt)
+        assert got.cost == cost  # exact float equality, not approx
         # describe() covers ships, local strategies, build sides, row
         # estimates, and per-node cumulative costs of the whole tree.
-        assert got.physical.describe() == want.physical.describe()
+        assert got.physical.describe() == phys.describe()
 
 
 def test_rank_of_distinguishes_equal_signatures():
@@ -98,11 +117,6 @@ def test_rank_of_distinguishes_equal_signatures():
 
 def test_memo_is_shared_across_alternatives(workloads):
     """The memo table ends up holding every distinct sub-plan exactly once."""
-    from repro.optimizer import CardinalityEstimator, PlanContext
-    from repro.optimizer.physical import PhysicalOptimizer
-    from repro.core.plan import body as plan_body
-    from repro.optimizer import enumerate_flows
-
     workload = workloads["tpch_q7"]
     ctx = PlanContext(workload.catalog, AnnotationMode.SCA)
     alternatives = enumerate_flows(plan_body(workload.plan), ctx)

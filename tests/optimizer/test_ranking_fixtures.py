@@ -4,7 +4,8 @@ The fixtures under ``tests/fixtures/rankings/`` were generated from the
 eager path (see :mod:`tests.optimizer.spaces`).  ``search="guided"`` must
 return exactly their first ``top_k`` entries — same plan, bit-equal cost,
 same physical plan — cold, when re-planning over a memo that was
-invalidated after a hint change, and through ``Optimizer(jobs=4)``.
+invalidated after a hint change, and over a memo the other search
+already filled (eager's closure and tree options, guided's cell tables).
 """
 
 import pytest
@@ -15,6 +16,8 @@ from repro.optimizer import Hints
 from tests.optimizer.spaces import SPACE_NAMES, entry, frozen, space
 
 TOP_KS = (1, 3, 10)
+#: Eager over the stress space costs 6 864 alternatives (~3 s): left out.
+SMALL_SPACES = [n for n in SPACE_NAMES if n != "stress"]
 
 
 def prefix(name, k):
@@ -31,7 +34,7 @@ def changed_hint(sp):
     return op, Hints(selectivity=0.05, cpu_per_call=3.0)
 
 
-@pytest.mark.parametrize("name", [n for n in SPACE_NAMES if n != "stress"])
+@pytest.mark.parametrize("name", SMALL_SPACES)
 def test_eager_ranking_matches_fixture(name):
     """The fixtures are current: eager still produces them, in full."""
     sp = space(name)
@@ -65,8 +68,25 @@ def test_guided_replan_after_invalidate_matches_fixture_prefix(name, k):
     assert [entry(p) for p in result.ranked] == prefix(name, k)
 
 
-@pytest.mark.parametrize("name", SPACE_NAMES)
-def test_guided_with_jobs_matches_fixture_prefix(name):
+
+@pytest.mark.parametrize("name", SMALL_SPACES)
+def test_guided_over_eager_memo_matches_fixture_prefix(name):
+    """Guided reads a memo eager filled: same prefix as cold."""
     sp = space(name)
-    result = sp.optimizer(search="guided", top_k=3, jobs=4).optimize(sp.plan)
+    memo = sp.optimizer().new_memo()
+    sp.optimizer().optimize(sp.plan, memo=memo)
+    result = sp.optimizer(search="guided", top_k=3).optimize(
+        sp.plan, memo=memo
+    )
     assert [entry(p) for p in result.ranked] == prefix(name, 3)
+
+
+@pytest.mark.parametrize("name", SMALL_SPACES)
+def test_eager_over_guided_memo_matches_fixture(name):
+    """Eager reads a memo guided filled: the full ranking, unchanged."""
+    sp = space(name)
+    memo = sp.optimizer().new_memo()
+    sp.optimizer(search="guided", top_k=3).optimize(sp.plan, memo=memo)
+    result = sp.optimizer().optimize(sp.plan, memo=memo)
+    assert result.plan_count == frozen(name)["plan_count"]
+    assert [entry(p) for p in result.ranked] == frozen(name)["ranking"]
