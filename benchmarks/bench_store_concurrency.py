@@ -1,4 +1,4 @@
-"""Concurrent-writer bench for the statistics-store backends.
+"""Concurrent-writer bench for the sqlite statistics store.
 
 ``STORE_BENCH_WRITERS`` forked processes share one statistics store and
 ingest ``STORE_BENCH_INGESTS`` executions each, every execution touching
@@ -12,9 +12,8 @@ them into ingests/sec plus p50/p95/p99 and — the whole point — proves
 * every writer-private operator aggregated exactly its writer's runs,
 * the contended operator aggregated every writer's runs.
 
-Both backends run the same protocol (sqlite-WAL is the headline; JSON
-with its advisory flock is the comparison), and a single-writer pass
-additionally pins cross-backend parity of the resulting estimator view.
+A single-writer pass additionally pins that the sqlite store learns
+bit-identically to an in-memory store.
 
 Environment knobs (defaults are the CI configuration)::
 
@@ -34,8 +33,6 @@ from repro.feedback.observation import ExecutionObservation, OpObservation
 
 WRITERS = int(os.environ.get("STORE_BENCH_WRITERS", "4"))
 INGESTS = int(os.environ.get("STORE_BENCH_INGESTS", "50"))
-
-SUFFIX = {"sqlite": ".sqlite", "json": ".json"}
 
 
 def _percentile(samples: list[float], q: float) -> float:
@@ -87,13 +84,13 @@ def _writer_process(path, writer: int, latency_path) -> None:
     latency_path.write_text(json.dumps(latencies))
 
 
-def _run_backend(backend: str, tmp_path) -> dict:
-    path = tmp_path / f"contended{SUFFIX[backend]}"
+def _run_sqlite(tmp_path) -> dict:
+    path = tmp_path / "contended.sqlite"
     StatisticsStore.open(path)  # pre-create: writers race ingests, not birth
     start = time.perf_counter()
     children = []
     for writer in range(WRITERS):
-        latency_path = tmp_path / f"latency-{backend}-{writer}.json"
+        latency_path = tmp_path / f"latency-{writer}.json"
         pid = os.fork()
         if pid == 0:  # pragma: no cover - exercised in the fork
             code = 1
@@ -112,7 +109,7 @@ def _run_backend(backend: str, tmp_path) -> dict:
     for writer in range(WRITERS):
         latencies.extend(
             json.loads(
-                (tmp_path / f"latency-{backend}-{writer}.json").read_text()
+                (tmp_path / f"latency-{writer}.json").read_text()
             )
         )
     total = WRITERS * INGESTS
@@ -121,7 +118,7 @@ def _run_backend(backend: str, tmp_path) -> dict:
     # once, EMA folds and run counters included.
     final = StatisticsStore.open(path)
     assert final.version == total, (
-        f"{backend}: lost updates — version {final.version} != {total}"
+        f"lost updates — version {final.version} != {total}"
     )
     assert final.nodes["shared"].runs == total
     for writer in range(WRITERS):
@@ -146,43 +143,31 @@ def _run_backend(backend: str, tmp_path) -> dict:
 
 
 def _single_writer_parity(tmp_path) -> bool:
-    """The same ingest sequence lands bit-identically on every backend."""
-    stores = {
-        "memory": StatisticsStore(),
-        "sqlite": StatisticsStore.open(tmp_path / "parity.sqlite"),
-        "json": StatisticsStore.open(tmp_path / "parity.json"),
-    }
-    for store in stores.values():
+    """The same ingest sequence lands bit-identically in memory and in
+    sqlite, and survives a reopen."""
+    memory = StatisticsStore()
+    sqlite = StatisticsStore.open(tmp_path / "parity.sqlite")
+    for store in (memory, sqlite):
         for writer in range(2):
             for i in range(10):
                 store.ingest(_observation(writer, i))
-    views = {name: store.estimator_view() for name, store in stores.items()}
-    assert views["sqlite"] == views["memory"]
-    assert views["json"] == views["memory"]
-    reloaded = {
-        "sqlite": StatisticsStore.open(tmp_path / "parity.sqlite"),
-        "json": StatisticsStore.open(tmp_path / "parity.json"),
-    }
-    for name, store in reloaded.items():
-        assert store.estimator_view() == views["memory"], name
-        assert store.to_dict() == stores[name].to_dict()
+    assert sqlite.estimator_view() == memory.estimator_view()
+    reloaded = StatisticsStore.open(tmp_path / "parity.sqlite")
+    assert reloaded.estimator_view() == memory.estimator_view()
+    assert reloaded.to_dict() == sqlite.to_dict()
     return True
 
 
 def test_store_concurrency(results_dir, tmp_path):
-    backends = {
-        backend: _run_backend(backend, tmp_path)
-        for backend in ("sqlite", "json")
-    }
+    sqlite = _run_sqlite(tmp_path)
     report = {
         "writers": WRITERS,
         "ingests_per_writer": INGESTS,
         "cpu_count": os.cpu_count() or 1,
-        "sqlite": backends["sqlite"],
-        "json": backends["json"],
+        "sqlite": sqlite,
         # The trend-gated headline: sustained multi-process ingest
         # throughput of the sqlite-WAL backend under full contention.
-        "sqlite_ingests_per_sec": backends["sqlite"]["ingests_per_sec"],
+        "sqlite_ingests_per_sec": sqlite["ingests_per_sec"],
         "single_writer_parity": _single_writer_parity(tmp_path),
         "note": (
             f"{WRITERS} forked writers x {INGESTS} ingests each into one "
@@ -198,8 +183,7 @@ def test_store_concurrency(results_dir, tmp_path):
     )
 
     assert report["single_writer_parity"]
-    for backend in ("sqlite", "json"):
-        assert backends[backend]["lost_updates"] == 0
-        assert backends[backend]["ingests_per_sec"] > 0
-        latency = backends[backend]["ingest_latency"]
-        assert latency["p99_seconds"] >= latency["p50_seconds"]
+    assert sqlite["lost_updates"] == 0
+    assert sqlite["ingests_per_sec"] > 0
+    latency = sqlite["ingest_latency"]
+    assert latency["p99_seconds"] >= latency["p50_seconds"]

@@ -1,12 +1,11 @@
 """Experiment harness and reporting (the Section 7.3 protocol)."""
 
-from .harness import ExecutedPlan, ExperimentOutcome, execute_plan, run_experiment
+from .harness import ExecutedPlan, ExperimentOutcome, run_experiment
 from .reporting import render_figure, render_table
 
 __all__ = [
     "ExecutedPlan",
     "ExperimentOutcome",
-    "execute_plan",
     "render_figure",
     "render_table",
     "run_experiment",

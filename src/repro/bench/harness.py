@@ -22,7 +22,7 @@ from ..feedback.midquery import (
 )
 from ..feedback.store import StatisticsStore
 from ..optimizer.cost import CostParams
-from ..optimizer.optimizer import OptimizationResult, Optimizer, RankedPlan
+from ..optimizer.optimizer import OptimizationResult, Optimizer
 from ..workloads.base import Workload
 
 
@@ -84,7 +84,6 @@ def run_experiment(
     execute_all: bool = False,
     feedback_rounds: int = 0,
     stats_store: StatisticsStore | str | Path | None = None,
-    stats_backend: str | None = None,
     midquery: bool = False,
     switch_threshold: float = DEFAULT_SWITCH_THRESHOLD,
     search: str = "eager",
@@ -97,11 +96,10 @@ def run_experiment(
     adaptive feedback loop (:class:`AdaptiveOptimizer`): runtime
     observations from each round's executions re-estimate the next, and
     the reported outcome is the final round's.  ``stats_store`` may be a
-    live :class:`StatisticsStore` or a path — a path opens through the
-    sniffed persistence backend (``.sqlite``/``.sqlite3``/``.db`` →
-    sqlite-WAL, else JSON; ``stats_backend`` forces one), warm-starting
-    from existing state, and every ingest commits transactionally so
-    concurrent experiments can share the store.  With
+    live :class:`StatisticsStore` or a path — a path opens as a
+    sqlite-WAL store, warm-starting from existing state, and every
+    ingest commits transactionally so concurrent experiments can share
+    the store.  With
     ``feedback_rounds=0`` and no store this is exactly the feedback-free
     protocol — the code path below is untouched.
 
@@ -134,8 +132,7 @@ def run_experiment(
             )
         return _run_feedback_experiment(
             workload, picks, mode, params, execute_all, feedback_rounds,
-            stats_store, stats_backend, midquery, switch_threshold,
-            tracer,
+            stats_store, midquery, switch_threshold, tracer,
         )
     params = params or workload.params
     optimizer = Optimizer(
@@ -198,7 +195,6 @@ def _run_feedback_experiment(
     execute_all: bool,
     feedback_rounds: int,
     stats_store: StatisticsStore | str | Path | None,
-    stats_backend: str | None = None,
     midquery: bool = False,
     switch_threshold: float = DEFAULT_SWITCH_THRESHOLD,
     tracer=None,
@@ -210,7 +206,7 @@ def _run_feedback_experiment(
     elif stats_store is not None:
         # Backend-attached: every ingest already committed transactionally,
         # so there is nothing left to save at the end.
-        store = StatisticsStore.open(Path(stats_store), backend=stats_backend)
+        store = StatisticsStore.open(Path(stats_store))
     else:
         store = StatisticsStore()
     adaptive = AdaptiveOptimizer(
@@ -259,11 +255,3 @@ def _run_feedback_experiment(
     adaptive.collector.clear()
     return outcome
 
-
-def execute_plan(
-    workload: Workload,
-    plan: RankedPlan,
-    params: CostParams | None = None,
-) -> ExecutionResult:
-    engine = Engine(params or workload.params, workload.true_costs)
-    return engine.execute(plan.physical, workload.data)

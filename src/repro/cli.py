@@ -7,13 +7,12 @@ Usage::
     python -m repro enumerate clickstream --mode manual
     python -m repro experiment textmining --picks 10
     python -m repro experiment tpch_q7 --scale 10
-    python -m repro experiment clickstream --feedback-rounds 2 --stats-store stats.json
     python -m repro experiment clickstream --feedback-rounds 2 --stats-store stats.sqlite
     python -m repro experiment tpch_q7 --search guided --top-k 3
     python -m repro experiment clickstream --midquery --switch-threshold 1.1
     python -m repro experiment clickstream --trace trace.json
     python -m repro trace summarize trace.json
-    python -m repro stats migrate stats.json stats.sqlite
+    python -m repro stats migrate old-stats.json stats.sqlite
     python -m repro serve --port 7411 --stats-dir stats/
     python -m repro plan tpch_q7 --server 127.0.0.1:7411 --tenant acme
 """
@@ -23,9 +22,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from pathlib import Path
 
 from .bench import render_figure, render_table, run_experiment
 from .core import AnnotationMode, body
+from .core.errors import FeedbackError
 from .core.operators import UdfOperator
 from .core.plan import iter_nodes, render_tree
 from .feedback.midquery import DEFAULT_SWITCH_THRESHOLD
@@ -94,20 +95,23 @@ def cmd_experiment(args) -> int:
         from .obs import Tracer
 
         tracer = Tracer()
-    outcome = run_experiment(
-        workload,
-        picks=args.picks,
-        mode=_mode(args.mode),
-        execute_all=args.all,
-        feedback_rounds=args.feedback_rounds,
-        stats_store=args.stats_store,
-        stats_backend=args.stats_backend,
-        midquery=args.midquery,
-        switch_threshold=args.switch_threshold,
-        search=args.search,
-        top_k=args.top_k,
-        tracer=tracer,
-    )
+    try:
+        outcome = run_experiment(
+            workload,
+            picks=args.picks,
+            mode=_mode(args.mode),
+            execute_all=args.all,
+            feedback_rounds=args.feedback_rounds,
+            stats_store=args.stats_store,
+            midquery=args.midquery,
+            switch_threshold=args.switch_threshold,
+            search=args.search,
+            top_k=args.top_k,
+            tracer=tracer,
+        )
+    except FeedbackError as exc:
+        print(f"experiment failed: {exc}", file=sys.stderr)
+        return 1
     print(render_figure(outcome, f"Experiment — {workload.name}"))
     if outcome.feedback is not None:
         print()
@@ -144,10 +148,11 @@ def cmd_trace(args) -> int:
     return args.trace_fn(args)
 
 
-def cmd_stats_migrate(args) -> int:
-    from pathlib import Path
+def _is_snapshot(path: str) -> bool:
+    return Path(path).suffix.lower() == ".json"
 
-    from .core.errors import FeedbackError
+
+def cmd_stats_migrate(args) -> int:
     from .feedback.store import StatisticsStore
 
     if Path(args.dst).exists() and not args.force:
@@ -157,13 +162,26 @@ def cmd_stats_migrate(args) -> int:
             file=sys.stderr,
         )
         return 2
+    if not Path(args.src).exists():
+        print(f"source store {args.src} does not exist", file=sys.stderr)
+        return 1
     try:
-        source = StatisticsStore.open(args.src, backend=args.from_backend)
-        migrated = source.migrate_to(args.dst, backend=args.to_backend)
+        if _is_snapshot(args.src):
+            source = StatisticsStore.load(args.src)
+        else:
+            source = StatisticsStore.open(args.src)
+        if _is_snapshot(args.dst):
+            source.save(args.dst)
+            migrated = StatisticsStore.load(args.dst)
+        else:
+            migrated = source.migrate_to(args.dst)
     except FeedbackError as exc:
         print(f"migration failed: {exc}", file=sys.stderr)
         return 1
-    if migrated.estimator_view() != source.estimator_view():
+    identical = migrated.estimator_view() == source.estimator_view()
+    source.close()
+    migrated.close()
+    if not identical:
         print(
             "migration failed verification: destination estimator view "
             "differs from the source",
@@ -198,7 +216,6 @@ def cmd_serve(args) -> int:
         port=args.port,
         metrics_port=args.metrics_port,
         stats_dir=args.stats_dir,
-        stats_backend=args.stats_backend,
         search=args.search,
         default_top_k=args.top_k,
         max_queue=args.max_queue,
@@ -226,8 +243,6 @@ def cmd_serve(args) -> int:
     except KeyboardInterrupt:
         pass
     if tracer is not None:
-        from pathlib import Path
-
         from .obs import write_trace
 
         count = write_trace(tracer, args.trace, fmt=args.trace_format)
@@ -336,17 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
                 "--stats-store",
                 default=None,
                 metavar="PATH",
-                help="persistent statistics store: loaded if present (warm "
-                "start), kept current transactionally during the run; the "
-                "backend is sniffed from the extension (.sqlite/.sqlite3/"
-                ".db -> sqlite-WAL, anything else -> JSON)",
-            )
-            p.add_argument(
-                "--stats-backend",
-                choices=("json", "sqlite"),
-                default=None,
-                help="force the statistics-store backend instead of "
-                "sniffing it from the --stats-store extension",
+                help="persistent sqlite statistics store: loaded if present "
+                "(warm start), kept current transactionally during the run "
+                "(import an old JSON store with `repro stats migrate`)",
             )
             p.add_argument(
                 "--search",
@@ -435,27 +442,17 @@ def build_parser() -> argparse.ArgumentParser:
     stats_sub = stats.add_subparsers(dest="stats_command", required=True)
     migrate = stats_sub.add_parser(
         "migrate",
-        help="copy a statistics store into another backend "
-        "(e.g. JSON -> sqlite)",
+        help="copy a statistics store into another file; a path ending "
+        "in .json is a JSON snapshot (`save()` layout), any other path a "
+        "sqlite store",
     )
     migrate.add_argument("src", help="source store path")
     migrate.add_argument("dst", help="destination store path")
     migrate.add_argument(
-        "--from-backend",
-        choices=("json", "sqlite"),
-        default=None,
-        help="force the source backend (default: sniff the extension)",
-    )
-    migrate.add_argument(
-        "--to-backend",
-        choices=("json", "sqlite"),
-        default=None,
-        help="force the destination backend (default: sniff the extension)",
-    )
-    migrate.add_argument(
         "--force",
         action="store_true",
-        help="merge into an existing destination store",
+        help="merge into an existing sqlite destination (or overwrite "
+        "an existing JSON snapshot)",
     )
     migrate.set_defaults(stats_fn=cmd_stats_migrate)
     stats.set_defaults(fn=cmd_stats)
@@ -487,13 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory of per-tenant statistics stores (<tenant>.sqlite; "
         "shareable with ingesting `repro experiment --stats-store` "
         "processes). Default: in-memory stores, no persistence",
-    )
-    serve.add_argument(
-        "--stats-backend",
-        choices=("json", "sqlite"),
-        default="sqlite",
-        help="backend for per-tenant stores under --stats-dir "
-        "(default sqlite)",
     )
     serve.add_argument(
         "--search",

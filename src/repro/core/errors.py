@@ -47,13 +47,6 @@ class ExecutionError(ReproError):
     """Raised by the execution engine for runtime failures."""
 
 
-class ExecutionConfigError(ExecutionError, ValueError):
-    """Raised for invalid engine configuration values (a non-positive
-    ``stream_batch_rows``).  Also a :class:`ValueError`; see
-    :class:`OptimizationConfigError`.
-    """
-
-
 class FeedbackError(ReproError):
     """Raised by the adaptive feedback subsystem (corrupt statistics
     stores, invalid round configurations)."""

@@ -13,26 +13,23 @@ paper's estimates diverge from its cluster runtimes.
 
 Pipeline-stage model
 --------------------
-The default (streaming) execution path runs the plan as a DAG of
-*pipeline stages* (see :meth:`PhysNode.pipeline_stages`): each stage is a
-pipeline breaker — a source scan, an operator behind a non-forward ship,
-or a blocking local strategy (sort-based Reduce/CoGroup, hash-join build,
-nested-loop cross) — plus the maximal chain of forward-shipped Map
-operators (and the collecting Sink) fused on top of it.  A fused chain
-streams each partition through every Map in bounded record batches
-(``stream_batch_rows``), so the intermediate partition lists the
-materializing engine allocates per operator never exist: peak transient
-memory is O(batch), not O(dataset), which is what lets much larger
-datagen scales run in the same footprint.
+The engine runs the plan as a DAG of *pipeline stages* (see
+:meth:`PhysNode.pipeline_stages`): each stage is a pipeline breaker — a
+source scan, an operator behind a non-forward ship, or a blocking local
+strategy (sort-based Reduce/CoGroup, hash-join build, nested-loop cross)
+— plus the maximal chain of forward-shipped Map operators (and the
+collecting Sink) fused on top of it.  A fused chain streams each
+partition through every Map in bounded record batches
+(:data:`BATCH_ROWS`), so no intermediate partition list exists per Map:
+peak transient memory is O(batch), not O(dataset), which is what lets
+much larger datagen scales run in the same footprint.  The Map planner
+emits forward ships only, so every Map runs fused.
 
 Blocking stages still buffer whole partitions; when a blocking stage's
 per-instance share exceeds ``CostParams.memory_per_instance``, the spill
-to disk is charged via ``CostParams.spill_bytes`` exactly as before.  The
-time model is bit-identical between the streaming and materializing
-paths: per-operator :class:`OpMetrics` are reported per logical operator
-in the same order with the same float arithmetic, only the intermediate
-buffering differs.  ``streaming=False`` selects the seed materializing
-path, kept as the parity reference.
+to disk is charged via ``CostParams.spill_bytes``.  Per-operator
+:class:`OpMetrics` are reported per logical operator, fused or not, and
+the batch size changes neither records nor metrics.
 
 Engine accounting
 -----------------
@@ -56,7 +53,7 @@ import math
 import os
 from dataclasses import dataclass
 
-from ..core.errors import ExecutionConfigError, ExecutionError
+from ..core.errors import ExecutionError
 from ..core.operators import (
     CoGroupOp,
     CrossOp,
@@ -95,6 +92,9 @@ from .partition import (
 )
 
 SourceData = dict[str, list[RawRecord]]
+
+#: Records per batch a fused Map chain streams through at once.
+BATCH_ROWS = 1024
 
 _run_seq = 0
 
@@ -175,9 +175,6 @@ def eval_local_partition(
     Returns the output rows plus the auxiliary counts the metric
     arithmetic needs for this partition (Reduce groups, CoGroup keys).
     """
-    if isinstance(op, MapOp):
-        (rows,) = rows_by_input
-        return apply_map(op, rows), ()
     if isinstance(op, ReduceOp):
         (rows,) = rows_by_input
         groups = len(group_by(rows, op.key_attr_tuple())) if rows else 0
@@ -203,11 +200,8 @@ def eval_local_partition(
 class Engine:
     """Executes physical plans on partitioned in-memory data.
 
-    With ``streaming`` (the default) fused Map chains are executed as
-    per-partition batched pipelines and intermediate partition lists are
-    never materialized; ``streaming=False`` runs the materializing
-    reference path.  Records and simulated times are bit-identical
-    between the two.
+    Fused Map chains run as per-partition batched pipelines; blocking
+    operators evaluate whole partitions.
 
     With ``reuse_subtree_results`` the engine memoizes the (deterministic)
     outcome of every executed physical subtree — output partitions plus
@@ -215,10 +209,10 @@ class Engine:
     same experiment contains an identical subtree over the same source
     data.  The shared Volcano memo in the optimizer hands structurally
     shared sub-plans to the engine as the *same* ``PhysNode`` objects, so
-    the rank-picked plans of one experiment hit this cache heavily.  In
-    streaming mode the cache keys on pipeline-stage boundaries (breakers
-    and the chains fused onto them) instead of every node.  Reported
-    records and simulated times are bit-identical either way.
+    the rank-picked plans of one experiment hit this cache heavily.  The
+    cache keys on pipeline-stage boundaries (breakers and the chains
+    fused onto them), not on every node.  Reported records and simulated
+    times are bit-identical with the cache on or off.
     """
 
     def __init__(
@@ -226,25 +220,12 @@ class Engine:
         params: CostParams | None = None,
         true_costs: dict[str, float] | None = None,
         reuse_subtree_results: bool = False,
-        streaming: bool = True,
-        stream_batch_rows: int = 1024,
         collector: "ObservationCollector | None" = None,
         tracer=None,
     ) -> None:
         self.params = params or CostParams()
         self.true_costs = true_costs or {}
         self.reuse_subtree_results = reuse_subtree_results
-        self.streaming = streaming
-        if (
-            not isinstance(stream_batch_rows, int)
-            or isinstance(stream_batch_rows, bool)
-            or stream_batch_rows < 1
-        ):
-            raise ExecutionConfigError(
-                "stream_batch_rows must be an integer >= 1, got "
-                f"{stream_batch_rows!r}"
-            )
-        self.stream_batch_rows = stream_batch_rows
         # Wall-clock observability (repro.obs).  Tracing reads the wall
         # clock only: records, OpMetrics, and modeled seconds are
         # bit-identical with the tracer on or off (pinned by the tracing
@@ -257,8 +238,7 @@ class Engine:
         # Optional runtime-statistics hook (the feedback subsystem's
         # ObservationCollector): notified once per execute() with the plan
         # and the finished report, covering every stage boundary — fused
-        # chains, breakers, and cache-replayed subtrees alike — in both
-        # streaming and materializing modes.
+        # chains, breakers, and cache-replayed subtrees alike.
         self.collector = collector
         self._subtree_cache: dict[
             PhysNode, tuple[Partitions, tuple[OpMetrics, ...]]
@@ -327,11 +307,6 @@ class Engine:
         suite.  The cross-plan subtree cache is bypassed for the duration:
         stage checkpoints are this execution's only replay mechanism.
         """
-        if not self.streaming:
-            raise ExecutionError(
-                "staged execution is defined over the streaming engine's "
-                "pipeline stages; use Engine(streaming=True)"
-            )
         if self._stage_results is not None:
             raise ExecutionError("staged execution is not re-entrant")
         report = ExecutionReport()
@@ -462,7 +437,7 @@ class Engine:
         data: SourceData,
         report: ExecutionReport,
     ) -> Partitions:
-        if self.streaming and pipelineable(node):
+        if pipelineable(node):
             # Fused stage chain: collect the forward-shipped Maps (and
             # Sink) down to the stage's pipeline breaker, run the breaker,
             # then stream its output through the whole chain at once.  A
@@ -497,10 +472,9 @@ class Engine:
 
         Each partition flows through every Map of the chain in bounded
         batches, so no intermediate partition list is ever built.  The
-        per-operator accounting accumulates the same integer row counts
-        the materializing path derives from full partitions, keeping the
-        reported metrics bit-identical.  A Sink in the chain collects
-        without transforming or reporting, as on the materializing path.
+        per-operator accounting sums integer row counts per partition, so
+        the batch size never changes the reported metrics.  A Sink in the
+        chain collects without transforming or reporting.
         """
         stages = [
             (n, n.logical.op) for n in chain if not isinstance(n.logical.op, Sink)
@@ -508,7 +482,6 @@ class Engine:
         if not stages:
             return base
         degree = len(base)
-        batch = self.stream_batch_rows
         ops = [op for _, op in stages]
         tracer = self.tracer
         chain_span = tracer.span(
@@ -529,7 +502,7 @@ class Engine:
                     partition=i,
                 ):
                     collected, part_in, part_out = run_chain_partition(
-                        ops, rows, batch
+                        ops, rows, BATCH_ROWS
                     )
                 out[i] = collected
                 for k in range(len(stages)):
@@ -583,8 +556,6 @@ class Engine:
                 report.per_op.append(metrics)
             scan_span.set(rows_out=len(rows))
             return parts
-        if isinstance(op, Sink):
-            return self._run(node.children[0], data, report)
         inputs = [self._run(child, data, report) for child in node.children]
         # The operator span covers shipping plus local evaluation only —
         # child recursion above traces under its own spans.
@@ -693,17 +664,7 @@ class Engine:
             out[i] = result
             evaled.append((len(result), aux))
 
-        if isinstance(op, MapOp):
-            (parts,) = inputs
-            metrics.rows_in = sum(len(p) for p in parts)
-            for i in range(degree):
-                result_len, _ = evaled[i]
-                calls = len(parts[i])
-                calls_total += calls
-                cpu_per_instance[i] = (
-                    calls * cost_call + result_len * params.record_overhead
-                )
-        elif isinstance(op, ReduceOp):
+        if isinstance(op, ReduceOp):
             (parts,) = inputs
             metrics.rows_in = sum(len(p) for p in parts)
             for i in range(degree):

@@ -2,8 +2,7 @@
 
 One :class:`OpMetrics` is reported per *logical* operator regardless of
 how the engine schedules it: operators fused into one streaming pipeline
-stage still report individually, with the same values the materializing
-path derives from fully built partitions.
+stage still report individually.
 """
 
 from __future__ import annotations

@@ -4,11 +4,11 @@ The counterpart to the paper's *static* opening of UDF black boxes: the
 engine already measures every operator's true cardinalities while
 executing — this subsystem closes the loop by collecting those
 measurements (:mod:`.observation`), aggregating them across runs with
-decay over a pluggable transactional persistence layer (:mod:`.store`
-policy over :mod:`.backends` — crash-safe JSON or sqlite-WAL),
-preferring them over hinted defaults during estimation
-(:mod:`.estimator`), and driving an optimize -> execute -> learn ->
-re-optimize fixed-point loop (:mod:`.adaptive`).
+decay over a transactional persistence layer (:mod:`.store` policy
+over :mod:`.backends` — sqlite-WAL), preferring them over hinted
+defaults during estimation (:mod:`.estimator`), and driving an
+optimize -> execute -> learn -> re-optimize fixed-point loop
+(:mod:`.adaptive`).
 """
 
 from .adaptive import (
@@ -20,11 +20,8 @@ from .adaptive import (
 from .backends import (
     BackendConflict,
     CommitDelta,
-    JsonBackend,
     SqliteBackend,
     StatsBackend,
-    open_backend,
-    sniff_backend,
 )
 from .estimator import FeedbackEstimator, QErrorReport, merge_hints, qerror, qerror_report
 from .midquery import (
@@ -53,7 +50,6 @@ __all__ = [
     "ExecutedRound",
     "ExecutionObservation",
     "FeedbackEstimator",
-    "JsonBackend",
     "MidQueryExperiment",
     "MidQueryReoptimizer",
     "NodeStats",
@@ -69,9 +65,7 @@ __all__ = [
     "merge_hints",
     "observe_plan",
     "observe_stage",
-    "open_backend",
     "qerror",
     "qerror_report",
     "run_midquery",
-    "sniff_backend",
 ]

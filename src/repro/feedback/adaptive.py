@@ -140,7 +140,6 @@ class AdaptiveOptimizer:
         mode: AnnotationMode = AnnotationMode.SCA,
         params: CostParams | None = None,
         picks: int = 5,
-        streaming: bool = True,
         midquery: bool = False,
         switch_threshold: float = DEFAULT_SWITCH_THRESHOLD,
         tracer=None,
@@ -164,7 +163,6 @@ class AdaptiveOptimizer:
             self.params,
             workload.true_costs,
             reuse_subtree_results=True,
-            streaming=streaming,
             collector=self.collector,
             tracer=tracer,
         )
@@ -186,11 +184,6 @@ class AdaptiveOptimizer:
         # mid-run and the round's bulk ingest dedupes them by run id.
         self.midquery: MidQueryReoptimizer | None = None
         if midquery:
-            if not streaming:
-                raise FeedbackError(
-                    "mid-query re-optimization executes pipeline stages; "
-                    "it requires the streaming engine"
-                )
             self.midquery = MidQueryReoptimizer(
                 workload.catalog,
                 workload.hints,

@@ -1,86 +1,28 @@
-"""Pluggable, concurrent-safe persistence under the statistics store.
+"""Transactional persistence under the statistics store.
 
-Two implementations of the :class:`~.base.StatsBackend` protocol ship:
+:class:`~.sqlite_backend.SqliteBackend` — WAL-mode sqlite with one
+transaction per ingested execution and schema migrations — is the one
+durable backend: a store path always opens as sqlite.  The
+:class:`~.base.StatsBackend` protocol is the seam where another
+implementation (a test fake) plugs in.
 
-* :class:`~.json_backend.JsonBackend` — the seed's JSON format, made
-  crash-safe (temp-file + atomic rename) and advisory-locked;
-* :class:`~.sqlite_backend.SqliteBackend` — WAL-mode sqlite with one
-  transaction per ingested execution and schema migrations.
-
-:func:`open_backend` picks one by file extension (``.sqlite`` /
-``.sqlite3`` / ``.db`` → sqlite, anything else → JSON) unless an
-explicit name overrides the sniff.
+:func:`~.snapshot.write_json_atomic` and
+:func:`~.snapshot.read_json_payload` back the store's plain JSON
+snapshots (``StatisticsStore.save()`` / ``load()``), the format
+``repro stats migrate`` reads and writes.
 """
 
 from __future__ import annotations
 
-import warnings
-from pathlib import Path
-
-from ...core.errors import FeedbackError
 from .base import BackendConflict, CommitDelta, StatsBackend
-from .json_backend import JsonBackend, read_json_payload, write_json_atomic
+from .snapshot import read_json_payload, write_json_atomic
 from .sqlite_backend import SqliteBackend
 
-#: Extensions that sniff as the sqlite backend.
-SQLITE_SUFFIXES = frozenset({".sqlite", ".sqlite3", ".db"})
-
-#: Extensions that sniff as the JSON backend *silently*; anything not
-#: listed here or in :data:`SQLITE_SUFFIXES` still opens as JSON but
-#: warns, so a typo like ``stats.sqlte`` cannot silently change the
-#: persistence format.
-JSON_SUFFIXES = frozenset({".json"})
-
-#: Names accepted as an explicit backend override.
-BACKEND_NAMES = ("json", "sqlite")
-
-
-def sniff_backend(path: str | Path) -> str:
-    """Backend name implied by a store path's extension."""
-    return "sqlite" if Path(path).suffix.lower() in SQLITE_SUFFIXES else "json"
-
-
-def open_backend(path: str | Path, name: str | None = None) -> StatsBackend:
-    """Open (creating on first commit) the backend for ``path``.
-
-    ``name`` forces ``"json"`` or ``"sqlite"`` regardless of extension;
-    ``None`` sniffs the extension via :func:`sniff_backend`.  Sniffing an
-    extension that names neither backend warns before defaulting to JSON
-    — a misspelled ``.sqlte`` must not silently change the persistence
-    format.
-    """
-    if name is None:
-        suffix = Path(path).suffix.lower()
-        if suffix not in SQLITE_SUFFIXES and suffix not in JSON_SUFFIXES:
-            warnings.warn(
-                f"statistics-store path {str(path)!r} has unknown extension "
-                f"{suffix!r}: defaulting to the JSON backend (use "
-                ".json/.sqlite/.sqlite3/.db, or force a backend explicitly "
-                "to silence this)",
-                stacklevel=2,
-            )
-        name = sniff_backend(path)
-    if name == "json":
-        return JsonBackend(path)
-    if name == "sqlite":
-        return SqliteBackend(path)
-    raise FeedbackError(
-        f"unknown statistics backend {name!r} (expected one of "
-        f"{', '.join(BACKEND_NAMES)})"
-    )
-
-
 __all__ = [
-    "BACKEND_NAMES",
     "BackendConflict",
     "CommitDelta",
-    "JSON_SUFFIXES",
-    "JsonBackend",
-    "SQLITE_SUFFIXES",
     "SqliteBackend",
     "StatsBackend",
-    "open_backend",
     "read_json_payload",
-    "sniff_backend",
     "write_json_atomic",
 ]

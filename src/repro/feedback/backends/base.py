@@ -4,8 +4,8 @@
 *policy* — EMA decay, staleness horizons, precedence, the
 ``estimator_view()`` fingerprint.  Everything about *where bytes live*
 is behind the :class:`StatsBackend` protocol defined here, so the same
-policy code runs over an in-memory dict, a crash-safe JSON file, or a
-sqlite database in WAL mode.
+policy code runs in memory, over a sqlite database in WAL mode, or over
+a test's fake backend.
 
 The contract is optimistic concurrency over whole-store snapshots:
 
@@ -26,9 +26,9 @@ The contract is optimistic concurrency over whole-store snapshots:
   (``StatisticsStore.sync()``).
 
 ``payload`` is always the full serialized store; ``delta`` narrows the
-commit to the rows one ingest actually touched, for backends (sqlite)
-that can write incrementally.  Backends that persist whole files (JSON)
-may ignore the delta.
+commit to the rows one ingest actually touched, so sqlite writes
+incrementally.  A backend that persists whole snapshots may ignore the
+delta.
 """
 
 from __future__ import annotations

@@ -28,6 +28,7 @@ state written by one process re-loads bit-identically in another.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sqlite3
 from pathlib import Path
@@ -38,7 +39,7 @@ from .base import BackendConflict, CommitDelta
 #: Current schema generation (PRAGMA user_version).
 SCHEMA_VERSION = 2
 
-#: Store format the payloads speak (mirrors the JSON format version).
+#: Store format the payloads speak (mirrors the JSON snapshot format).
 _FORMAT = 2
 
 
@@ -76,10 +77,20 @@ def _migrate_v2(con: sqlite3.Connection) -> None:
 _MIGRATIONS = (_migrate_v1, _migrate_v2)
 
 
+def _open_error(path: Path, exc: sqlite3.Error) -> FeedbackError:
+    """A clean error for a store path sqlite cannot open."""
+    message = f"cannot open sqlite statistics store {str(path)!r}: {exc}"
+    with contextlib.suppress(OSError), open(path, "rb") as handle:
+        if handle.read(1) == b"{":
+            message += (
+                " — the file is a JSON statistics snapshot; import it with "
+                "`repro stats migrate OLD.json NEW.sqlite`"
+            )
+    return FeedbackError(message)
+
+
 class SqliteBackend:
     """WAL-mode sqlite backend with per-execution transactions."""
-
-    name = "sqlite"
 
     def __init__(self, path: str | Path, busy_timeout: float = 30.0) -> None:
         self.path = Path(path)
@@ -98,12 +109,18 @@ class SqliteBackend:
                 check_same_thread=False,
             )
         except sqlite3.Error as exc:
-            raise FeedbackError(
-                f"cannot open sqlite statistics store {str(path)!r}: {exc}"
-            ) from None
-        self._con.execute("PRAGMA journal_mode=WAL")
-        self._con.execute("PRAGMA synchronous=NORMAL")
-        self._migrate()
+            raise _open_error(self.path, exc) from None
+        # sqlite reads the file lazily: a file that is not a database
+        # fails here, on the first statement, not in connect().
+        try:
+            self._con.execute("PRAGMA journal_mode=WAL")
+            self._con.execute("PRAGMA synchronous=NORMAL")
+            self._migrate()
+        except BaseException as exc:
+            self._con.close()
+            if isinstance(exc, sqlite3.Error):
+                raise _open_error(self.path, exc) from None
+            raise
 
     def _migrate(self) -> None:
         con = self._con
@@ -148,9 +165,10 @@ class SqliteBackend:
             "decay": json.loads(meta["decay"]),
             "staleness_horizon": json.loads(meta["staleness_horizon"]),
             "version": int(meta["version"]),
-            # Sorted row order mirrors the JSON format's sort_keys
-            # serialization, so a reload is bit-identical across backends
-            # (learned-hint folds iterate entries in store order).
+            # Sorted row order mirrors to_dict() and the JSON snapshot's
+            # sort_keys serialization, so a reload is bit-identical to
+            # the in-memory store (learned-hint folds iterate entries in
+            # store order).
             "nodes": {
                 key: {
                     "op_name": op_name,

@@ -115,9 +115,9 @@ def observe_plan(
 
     Walks the physical plan once to map each (unique) operator name to
     its logical node, then lifts every reported :class:`OpMetrics` into a
-    signature-keyed :class:`OpObservation`.  Works identically for
-    streaming and materializing executions and for cache-replayed
-    subtrees — the report is the single source of truth.
+    signature-keyed :class:`OpObservation`.  Works identically for fused
+    chains, breakers and cache-replayed subtrees — the report is the
+    single source of truth.
     """
     true_costs = true_costs or {}
     logical = {}
@@ -211,7 +211,7 @@ class ObservationCollector:
 
     Attach to an engine (``Engine(collector=...)``); the engine calls
     :meth:`observe_execution` once per ``execute()`` with the finished
-    report, covering both streaming and materializing modes.
+    report.
     """
 
     executions: list[ExecutionObservation] = field(default_factory=list)

@@ -30,21 +30,22 @@ Persistence (the backend layer)
 -------------------------------
 All policy above is persistence-agnostic.  A store may run purely in
 memory (``backend=None``, the default — behavior identical to the seed)
-or attach a :class:`~.backends.StatsBackend` (:meth:`open`), in which
-case **every ingest is one transaction**: incorporate foreign commits
-(cheap generation probe), fold the execution, and atomically publish the
-result with an optimistic generation check — a lost race reloads and
-re-folds, so concurrent writers can never double-fold an EMA or tear a
-file.  The ``(signature, run-id)`` ingest-dedupe map is persisted with
+or attach a :class:`~.backends.StatsBackend` (:meth:`open`: sqlite-WAL
+for a store path), in which case **every ingest is one transaction**:
+incorporate foreign commits (cheap generation probe), fold the
+execution, and atomically publish the result with an optimistic
+generation check — a lost race reloads and re-folds, so concurrent
+writers can never double-fold an EMA or tear a file.  The ``(signature, run-id)`` ingest-dedupe map is persisted with
 the state, so a whole-run ingest cannot double-count stage deltas even
 across process boundaries.  :meth:`sync` pulls foreign writes on demand
 and returns exactly the dirty operator-name set (the
 :meth:`estimator_view` diff), which is precisely what
 :meth:`~repro.optimizer.memo.Memo.invalidate` wants.
 
-The store also round-trips through plain JSON (:meth:`save` /
-:meth:`load` — now torn-write-safe via atomic replace): persist ->
-reload -> re-optimize is bit-deterministic, across backends too.
+The store also round-trips through a plain JSON snapshot (:meth:`save`
+/ :meth:`load`, torn-write-safe via atomic replace): persist -> reload
+-> re-optimize is bit-deterministic.  Snapshots are not live stores;
+``repro stats migrate`` moves state between them and sqlite.
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ from ..optimizer.cardinality import Hints
 from .backends import (
     BackendConflict,
     CommitDelta,
+    SqliteBackend,
     StatsBackend,
-    open_backend,
     read_json_payload,
     write_json_atomic,
 )
@@ -580,7 +581,7 @@ class StatisticsStore:
         return store
 
     def save(self, path: str | Path) -> None:
-        """Export the state as plain JSON (atomic temp-file + rename).
+        """Export the state as a JSON snapshot (atomic temp-file + rename).
 
         A crash at any instant leaves either the complete previous file
         or the complete new one — never a half-written store.
@@ -595,21 +596,20 @@ class StatisticsStore:
     def open(
         cls,
         path: str | Path,
-        backend: str | StatsBackend | None = None,
+        backend: StatsBackend | None = None,
         **kwargs,
     ) -> "StatisticsStore":
         """Open a backend-attached store at ``path``.
 
-        The backend is sniffed from the extension (``.sqlite`` /
-        ``.sqlite3`` / ``.db`` → sqlite-WAL, anything else → JSON)
-        unless ``backend`` names one explicitly (or passes an instance).
-        Existing state is loaded (warm start, persisted policy config
-        wins); a fresh path starts empty with ``kwargs`` as the policy
-        config and is created immediately, so concurrent openers agree
-        on the file from the start.
+        ``path`` is a sqlite-WAL database whatever its extension, unless
+        ``backend`` passes an already opened backend.  Existing state is
+        loaded (warm start, persisted policy config wins); a fresh path
+        starts empty with ``kwargs`` as the policy config and is created
+        immediately, so concurrent openers agree on the file from the
+        start.
         """
-        if isinstance(backend, str) or backend is None:
-            backend = open_backend(path, backend)
+        if backend is None:
+            backend = SqliteBackend(path)
         payload, generation = backend.load()
         if payload is not None:
             store = cls.from_dict(payload)
@@ -633,7 +633,7 @@ class StatisticsStore:
         Long-lived multi-tenant processes (the planning server) open one
         backend per tenant; evicting a tenant must close its sqlite
         connection instead of waiting for garbage collection.  Backends
-        without a ``close`` (JSON) and in-memory stores are no-ops.
+        without a ``close`` and in-memory stores are no-ops.
         """
         backend = self.backend
         if backend is not None:
@@ -641,18 +641,16 @@ class StatisticsStore:
             if closer is not None:
                 closer()
 
-    def migrate_to(
-        self, path: str | Path, backend: str | None = None
-    ) -> "StatisticsStore":
-        """Copy the full current state into a (new) backend at ``path``.
+    def migrate_to(self, path: str | Path) -> "StatisticsStore":
+        """Copy the full current state into a (new) sqlite store at ``path``.
 
         The write is one transactional commit on the destination (all
-        rows as the delta, so incremental backends materialize every
-        table).  Returns the freshly opened destination store — callers
-        can diff ``estimator_view()`` against the source to verify the
-        migration was lossless.
+        rows as the delta, so every table is written).  Returns the
+        freshly opened destination store — callers can diff
+        ``estimator_view()`` against the source to verify the migration
+        was lossless.
         """
-        destination = open_backend(path, backend)
+        destination = SqliteBackend(path)
         payload = self.to_dict()
         full = CommitDelta(
             version=self.version,
@@ -665,6 +663,7 @@ class StatisticsStore:
         try:
             destination.commit(payload, full, generation)
         except BackendConflict:
+            destination.close()
             raise FeedbackError(
                 f"destination store {str(path)!r} changed mid-migration — "
                 "stop its writers and retry"

@@ -101,11 +101,11 @@ class ServerConfig:
     host: str = "127.0.0.1"
     port: int = 0  # 0 = pick a free port (read it back from .port)
     metrics_port: int | None = None  # None = no HTTP metrics endpoint
-    #: Directory of per-tenant statistics stores (``<tenant><ext>``);
-    #: None serves from per-tenant in-memory stores (no persistence, no
-    #: foreign ingests — benchmarking and tests).
+    #: Directory of per-tenant sqlite statistics stores
+    #: (``<tenant>.sqlite``); None serves from per-tenant in-memory
+    #: stores (no persistence, no foreign ingests — benchmarking and
+    #: tests).
     stats_dir: str | Path | None = None
-    stats_backend: str = "sqlite"
     search: str = "guided"
     default_top_k: int = 1
     default_mode: str = "sca"
@@ -588,10 +588,7 @@ class PlanningServer:
             return StatisticsStore()
         stats_dir = Path(self.config.stats_dir)
         stats_dir.mkdir(parents=True, exist_ok=True)
-        ext = ".sqlite" if self.config.stats_backend == "sqlite" else ".json"
-        return StatisticsStore.open(
-            stats_dir / f"{tenant}{ext}", backend=self.config.stats_backend
-        )
+        return StatisticsStore.open(stats_dir / f"{tenant}.sqlite")
 
     def _evict_tenant(self, name: str) -> None:
         tenant = self._tenants.pop(name)

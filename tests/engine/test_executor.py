@@ -1,6 +1,8 @@
 """Engine correctness: physical execution must match the oracle evaluator,
 and the time model must behave sensibly."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import (
@@ -22,13 +24,17 @@ from repro.core import (
     node,
     reduce_udf,
 )
+from repro.datagen import ClickScale
 from repro.engine import Engine, execute_physical
+from repro.feedback import AdaptiveOptimizer
 from repro.optimizer import (
     CardinalityEstimator,
     CostParams,
     PlanContext,
     optimize_physical,
 )
+from repro.optimizer.physical import Ship, ShipKind, pipelineable
+from repro.workloads import build_clickstream
 from tests.conftest import concat_udf, random_rows
 
 L = attrs("l.k", "l.v")
@@ -162,13 +168,36 @@ class TestTimeModel:
 
 
 class TestConfig:
-    @pytest.mark.parametrize("bad", [0, -5, 2.5, "8", True, None])
-    def test_stream_batch_rows_rejected_at_construction(self, bad):
-        from repro.core.errors import ExecutionConfigError
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Engine(streaming=False),
+            lambda: Engine(stream_batch_rows=7),
+            lambda: AdaptiveOptimizer(
+                build_clickstream(ClickScale(sessions=20)), streaming=True
+            ),
+        ],
+        ids=["engine-streaming", "engine-stream_batch_rows", "adaptive-streaming"],
+    )
+    def test_removed_engine_options_are_rejected(self, build):
+        """One engine path: the materializing switch and the batch-size
+        option are gone, and so is the adaptive loop's engine switch."""
+        with pytest.raises(TypeError):
+            build()
 
-        with pytest.raises(ExecutionConfigError, match="stream_batch_rows"):
-            Engine(stream_batch_rows=bad)
+    def test_map_reaching_a_local_strategy_is_an_error(self):
+        """The Map planner emits forward ships only, so every Map runs
+        fused; a hand-built Map behind a partition ship has no local
+        evaluation and must fail loudly."""
+        ctx, data = build_env()
+        flow = chain(Source("L", L), MapOp("dbl", map_udf(double_map), FieldMap(L)))
+        phys = physical_for(flow, ctx)
+        assert isinstance(phys.logical.op, MapOp) and pipelineable(phys)
+        shuffled = dataclasses.replace(
+            phys, ships=(Ship(ShipKind.PARTITION, (L[0],)),)
+        )
+        assert not pipelineable(shuffled)
+        from repro.core import ExecutionError
 
-    @pytest.mark.parametrize("good", [1, 7, 1024])
-    def test_stream_batch_rows_accepts_positive_ints(self, good):
-        assert Engine(stream_batch_rows=good).stream_batch_rows == good
+        with pytest.raises(ExecutionError, match="cannot execute"):
+            execute_physical(shuffled, data, CostParams(degree=8))

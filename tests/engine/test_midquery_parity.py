@@ -15,7 +15,6 @@ import math
 import pytest
 
 from repro.core import AnnotationMode, datasets_equal
-from repro.core.errors import ExecutionError
 from repro.datagen import ClickScale, CorpusScale, TpchScale
 from repro.engine import Engine
 from repro.feedback import MidQueryReoptimizer, StatisticsStore
@@ -113,12 +112,6 @@ class TestStagedParity:
         assert datasets_equal(got.records, want.records)
         if len(plan.physical.pipeline_stages()) > 1:
             assert any(d.switched for d in controller.decisions)
-
-    def test_staged_requires_the_streaming_engine(self, optimized):
-        workload, picks = optimized["clickstream"]
-        engine = Engine(workload.params, workload.true_costs, streaming=False)
-        with pytest.raises(ExecutionError, match="streaming"):
-            engine.execute_staged(picks[0].physical, workload.data)
 
     def test_single_stage_plans_have_no_boundaries(self, optimized):
         """Text mining fuses into one stage: nothing to re-optimize."""

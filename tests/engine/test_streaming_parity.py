@@ -1,13 +1,12 @@
-"""The streaming pipelined engine must be bit-identical to the seed
-materializing engine.
+"""The engine's streaming pipeline: batching, stage cache and stages.
 
-The streaming path fuses forward-shipped Map chains (and the Sink) into
-per-partition batched pipelines and caches subtree results at pipeline
-breaker boundaries.  These tests pin that, across all four paper
-workloads and rank-picked plans, records, per-operator metrics, and
-simulated seconds are *exactly* equal to the materializing reference —
-with and without ``reuse_subtree_results`` — and that the mixed-type-key
-partitioning fix keeps the parallel engine on the reference oracle.
+Fused forward-shipped Map chains (and the Sink) stream each partition
+in bounded batches, and the subtree cache keys on pipeline-stage
+boundaries.  These tests pin that the batch size never changes a fused
+chain's output or row counts, that cache replays are exact, how plans
+decompose into stages, and that mixed-type keys group as the reference
+evaluator groups them.  The records and metrics themselves are pinned
+by the engine goldens (``tests/engine/test_golden.py``).
 """
 
 import pytest
@@ -16,6 +15,7 @@ from repro.core import (
     AnnotationMode,
     Catalog,
     FieldMap,
+    MapOp,
     ReduceOp,
     Source,
     SourceStats,
@@ -23,11 +23,12 @@ from repro.core import (
     chain,
     datasets_equal,
     evaluate,
+    map_udf,
     reduce_udf,
 )
 from repro.datagen import ClickScale, CorpusScale, TpchScale
-from repro.engine import Engine
-from repro.feedback import ObservationCollector
+from repro.engine import Engine, round_robin
+from repro.engine.executor import run_chain_partition
 from repro.optimizer import (
     CardinalityEstimator,
     CostParams,
@@ -66,76 +67,43 @@ def optimized():
     return out
 
 
-class TestStreamingParity:
-    @pytest.mark.parametrize("name", sorted(BUILDERS))
-    @pytest.mark.parametrize("reuse", [False, True], ids=["fresh", "reuse"])
-    def test_bit_identical_to_materializing_engine(self, optimized, name, reuse):
-        workload, picks = optimized[name]
-        streaming = Engine(
-            workload.params, workload.true_costs, reuse_subtree_results=reuse
-        )
-        materializing = Engine(
-            workload.params,
-            workload.true_costs,
-            reuse_subtree_results=reuse,
-            streaming=False,
-        )
-        for plan in picks:
-            got = streaming.execute(plan.physical, workload.data)
-            want = materializing.execute(plan.physical, workload.data)
-            assert got.records == want.records
-            assert got.report.per_op == want.report.per_op  # exact OpMetrics
-            assert got.seconds == want.seconds  # bit-identical, not approx
-
+class TestBatchSize:
     @pytest.mark.parametrize("batch", [1, 7, 100_000])
     def test_batch_size_does_not_change_results(self, optimized, batch):
+        """Every text-mining partition streamed through the fused chain in
+        ``batch``-row batches equals one whole-partition batch: same rows,
+        same order, same per-operator row counts."""
         workload, picks = optimized["textmining"]
-        reference = Engine(workload.params, workload.true_costs, streaming=False)
-        batched = Engine(workload.params, workload.true_costs, stream_batch_rows=batch)
-        got = batched.execute(picks[0].physical, workload.data)
-        want = reference.execute(picks[0].physical, workload.data)
-        assert got.records == want.records
-        assert got.report.per_op == want.report.per_op
+        (stage,) = picks[0].physical.pipeline_stages()
+        scan, *chain = stage
+        ops = [node.logical.op for node in chain]
+        rows = workload.data[scan.logical.op.name]
+        partitions = round_robin(rows, workload.params.degree)
+        assert sum(map(len, partitions)) == len(rows) > 0
+        for part in partitions:
+            whole = run_chain_partition(ops, part, max(len(part), 1))
+            assert run_chain_partition(ops, part, batch) == whole
 
 
-class TestObservationParity:
-    @pytest.mark.parametrize("name", sorted(BUILDERS))
-    def test_collected_observations_bit_identical_across_engine_modes(
-        self, optimized, name
-    ):
-        """The feedback subsystem's per-op observations — rows-in,
-        rows-out, UDF calls, everything — must not depend on whether the
-        engine streamed or materialized."""
-        workload, picks = optimized[name]
-        streaming_collector = ObservationCollector()
-        materializing_collector = ObservationCollector()
-        streaming = Engine(
-            workload.params, workload.true_costs, collector=streaming_collector
-        )
-        materializing = Engine(
-            workload.params,
-            workload.true_costs,
-            streaming=False,
-            collector=materializing_collector,
-        )
-        for plan in picks:
-            streaming.execute(plan.physical, workload.data)
-            materializing.execute(plan.physical, workload.data)
-        assert streaming_collector.executions  # the hook actually fired
-        assert streaming_collector.executions == materializing_collector.executions
-        # Field-level check for the headline quantities, exact equality.
-        for got, want in zip(
-            streaming_collector.executions, materializing_collector.executions
-        ):
-            assert got.plan_key == want.plan_key
-            assert got.seconds == want.seconds
-            for op_got, op_want in zip(got.ops, want.ops):
-                assert (op_got.key, op_got.rows_in, op_got.rows_out) == (
-                    op_want.key,
-                    op_want.rows_in,
-                    op_want.rows_out,
-                )
-                assert op_got.udf_calls == op_want.udf_calls
+    def test_an_emptied_batch_skips_the_rest_of_the_chain(self):
+        """A Map that drops every row ends the batch: later Maps see no
+        input, so they count neither calls nor rows."""
+        fields = attrs("e.k")
+
+        def drop(_rec, _out):
+            pass
+
+        def keep(rec, out):
+            out.emit(rec.copy())
+
+        ops = [
+            MapOp("keep", map_udf(keep), FieldMap(fields)),
+            MapOp("drop", map_udf(drop), FieldMap(fields)),
+            MapOp("after", map_udf(keep), FieldMap(fields)),
+        ]
+        rows = [{fields[0]: i} for i in range(5)]
+        assert run_chain_partition(ops, rows, 2) == ([], [5, 5, 0], [5, 0, 0])
+        assert run_chain_partition(ops, [], 2) == ([], [0, 0, 0], [0, 0, 0])
 
 
 class TestBreakerBoundaryCache:
@@ -222,7 +190,7 @@ class TestPipelineStages:
 class TestMixedTypeKeyParity:
     def test_engine_matches_reference_on_mixed_type_keys(self):
         """``1``/``1.0``/``True`` are one group under dict-key semantics;
-        the repartitioned parallel engine must agree with the oracle."""
+        the repartitioned engine must agree with the oracle."""
         K = attrs("m.k", "m.v")
 
         def sum_group(records, out):
@@ -252,8 +220,6 @@ class TestMixedTypeKeyParity:
         for k in keys:
             distinct_groups[k] = True
         assert len(baseline) == len(distinct_groups)
-        for streaming in (True, False):
-            engine = Engine(CostParams(degree=8), streaming=streaming)
-            result = engine.execute(phys, data)
-            assert datasets_equal(result.records, baseline)
-            assert len(result.records) == len(distinct_groups)
+        result = Engine(CostParams(degree=8)).execute(phys, data)
+        assert datasets_equal(result.records, baseline)
+        assert len(result.records) == len(distinct_groups)

@@ -1,10 +1,9 @@
 """Shared feedback fixtures.
 
-``make_store`` parametrizes store-driven tests over every persistence
-backend: a plain in-memory store (the seed behavior), a backend-attached
-crash-safe JSON store, and a sqlite-WAL store.  Policy semantics are
-pinned to be bit-identical across all three, so any test that holds for
-one must hold for the others.
+``make_store`` parametrizes store-driven tests over both ways a store
+runs: a plain in-memory store (the seed behavior) and a sqlite-WAL store.
+Policy semantics are pinned to be bit-identical across the two, so any
+test that holds for one must hold for the other.
 """
 
 import itertools
@@ -13,10 +12,8 @@ import pytest
 
 from repro.feedback import StatisticsStore
 
-_SUFFIX = {"json": ".json", "sqlite": ".sqlite"}
 
-
-@pytest.fixture(params=["memory", "json", "sqlite"])
+@pytest.fixture(params=["memory", "sqlite"])
 def make_store(request, tmp_path):
     """Factory building fresh stores on the parametrized backend."""
     counter = itertools.count()
@@ -24,8 +21,9 @@ def make_store(request, tmp_path):
     def make(**kwargs):
         if request.param == "memory":
             return StatisticsStore(**kwargs)
-        path = tmp_path / f"stats-{next(counter)}{_SUFFIX[request.param]}"
-        return StatisticsStore.open(path, **kwargs)
+        return StatisticsStore.open(
+            tmp_path / f"stats-{next(counter)}.sqlite", **kwargs
+        )
 
     make.backend = request.param
     return make

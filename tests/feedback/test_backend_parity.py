@@ -3,13 +3,11 @@
 The acceptance bar of the backend split: with a single writer, the
 entire feedback stack — EMA folds, estimator-view fingerprints,
 adaptive-loop picks, q-error trajectories, mid-query switch decisions —
-is **bit-identical** across an in-memory store, a JSON-backed store, and
-a sqlite-backed store.  Any float drift (a REAL that round-trips
+is **bit-identical** between an in-memory store and a sqlite-backed
+store.  Any float drift (a REAL that round-trips
 differently, an iteration-order change in the learned-hint folds) fails
 these exact-equality assertions.
 """
-
-import pytest
 
 from repro.datagen import ClickScale, TpchScale
 from repro.feedback import AdaptiveOptimizer, StatisticsStore, run_midquery
@@ -17,7 +15,6 @@ from repro.optimizer import Hints
 from repro.workloads import build_clickstream, build_q15
 
 SMALL_TPCH = TpchScale(suppliers=40, customers=80, orders=400)
-BACKENDS = ("json", "sqlite")
 
 
 def mis_hinted(scale=None):
@@ -30,11 +27,10 @@ def mis_hinted(scale=None):
     return workload, hints
 
 
-def _store_at(tmp_path, backend, tag=""):
+def _store_at(tmp_path, backend):
     if backend == "memory":
         return StatisticsStore()
-    suffix = ".json" if backend == "json" else ".sqlite"
-    return StatisticsStore.open(tmp_path / f"stats-{backend}{tag}{suffix}")
+    return StatisticsStore.open(tmp_path / f"stats-{backend}.sqlite")
 
 
 def _adaptive_trace(workload, store, rounds=2):
@@ -55,12 +51,11 @@ def _adaptive_trace(workload, store, rounds=2):
 
 
 class TestAdaptiveLoopParity:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_trajectory_is_bit_identical_to_memory(self, tmp_path, backend):
+    def test_trajectory_is_bit_identical_to_memory(self, tmp_path):
         reference = _adaptive_trace(
             build_clickstream(ClickScale(sessions=250)), StatisticsStore()
         )
-        store = _store_at(tmp_path, backend)
+        store = _store_at(tmp_path, "sqlite")
         got = _adaptive_trace(
             build_clickstream(ClickScale(sessions=250)), store
         )
@@ -69,21 +64,18 @@ class TestAdaptiveLoopParity:
     def test_final_views_identical_across_all_backends(self, tmp_path):
         views = {}
         hints = {}
-        for backend in ("memory", *BACKENDS):
+        for backend in ("memory", "sqlite"):
             workload = build_q15(SMALL_TPCH)
             store = _store_at(tmp_path, backend)
             AdaptiveOptimizer(workload, store=store, picks=5).run(1)
             views[backend] = store.estimator_view()
             hints[backend] = store.learned_hints()
-        assert views["json"] == views["memory"]
         assert views["sqlite"] == views["memory"]
-        assert hints["json"] == hints["memory"]
         assert hints["sqlite"] == hints["memory"]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_views_survive_reopen_bit_identically(self, tmp_path, backend):
+    def test_views_survive_reopen_bit_identically(self, tmp_path):
         workload = build_q15(SMALL_TPCH)
-        store = _store_at(tmp_path, backend)
+        store = _store_at(tmp_path, "sqlite")
         AdaptiveOptimizer(workload, store=store, picks=5).run(1)
         reopened = StatisticsStore.open(store.backend.path)
         assert reopened.estimator_view() == store.estimator_view()
@@ -96,7 +88,7 @@ class TestMidQueryParity:
     def test_switch_decisions_identical_across_backends(self, tmp_path):
         decisions = {}
         views = {}
-        for backend in ("memory", *BACKENDS):
+        for backend in ("memory", "sqlite"):
             workload, hints = mis_hinted(ClickScale(sessions=250))
             store = _store_at(tmp_path, backend)
             experiment = run_midquery(
@@ -113,7 +105,5 @@ class TestMidQueryParity:
                 for d in experiment.decisions
             ]
             views[backend] = store.estimator_view()
-        assert decisions["json"] == decisions["memory"]
         assert decisions["sqlite"] == decisions["memory"]
-        assert views["json"] == views["memory"]
         assert views["sqlite"] == views["memory"]

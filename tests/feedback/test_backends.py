@@ -1,12 +1,17 @@
 """The persistence layer under the statistics store.
 
-Covers the :class:`~repro.feedback.backends.StatsBackend` contract both
-implementations must honor — generation counters, optimistic-conflict
-detection, transactional commits — plus each backend's own guarantees:
-atomic (torn-write-safe) JSON replacement with crash recovery, and
-sqlite schema migrations from a hand-crafted v1 database.
+Covers the :class:`~repro.feedback.backends.StatsBackend` contract —
+generation counters, optimistic-conflict detection, transactional
+commits — on sqlite and on an in-memory fake (the protocol is the seam
+tests substitute backends through), plus sqlite's own guarantees: schema
+migrations from a hand-crafted v1 database and clean errors for a file
+that is not a database.  The JSON snapshot (``save()`` / ``load()``)
+keeps its atomic-replace crash safety, and ``repro stats migrate`` moves
+state between snapshots — old JSON stores included — and sqlite without
+loss.
 """
 
+import copy
 import json
 import os
 import signal
@@ -14,18 +19,16 @@ import sqlite3
 
 import pytest
 
+from repro.cli import main
 from repro.core.errors import FeedbackError
 from repro.feedback import (
     BackendConflict,
     CommitDelta,
-    JsonBackend,
     SqliteBackend,
     StatisticsStore,
     StatsBackend,
-    open_backend,
-    sniff_backend,
 )
-from repro.feedback.backends.json_backend import write_json_atomic
+from repro.feedback.backends import sqlite_backend, write_json_atomic
 from repro.feedback.backends.sqlite_backend import SCHEMA_VERSION
 from repro.feedback.observation import ExecutionObservation, OpObservation
 
@@ -51,43 +54,64 @@ def obs(key="k1", rows_out=40, seconds=2.0, run_id=None, wall=0.0):
     )
 
 
-class TestSniffing:
-    @pytest.mark.parametrize(
-        "name,expected",
-        [
-            ("stats.json", "json"),
-            ("stats.sqlite", "sqlite"),
-            ("stats.sqlite3", "sqlite"),
-            ("stats.db", "sqlite"),
-            ("stats.SQLITE", "sqlite"),
-            ("stats", "json"),
-            ("stats.txt", "json"),
-        ],
-    )
-    def test_extension_sniffing(self, name, expected):
-        assert sniff_backend(name) == expected
+class FakeBackend:
+    """Whole-snapshot :class:`StatsBackend` kept in memory.
 
-    def test_explicit_name_overrides_extension(self, tmp_path):
-        backend = open_backend(tmp_path / "stats.json", "sqlite")
-        assert isinstance(backend, SqliteBackend)
-        backend.close()
+    Every store opened over one instance sees the same persisted state,
+    as two processes see one database file; the delta is ignored.
+    """
 
-    def test_unknown_backend_name_rejected(self, tmp_path):
-        with pytest.raises(FeedbackError, match="unknown statistics backend"):
-            open_backend(tmp_path / "stats.json", "parquet")
+    path = "<memory>"
 
-    def test_both_backends_satisfy_the_protocol(self, tmp_path):
-        assert isinstance(JsonBackend(tmp_path / "a.json"), StatsBackend)
-        sqlite_backend = SqliteBackend(tmp_path / "a.sqlite")
-        assert isinstance(sqlite_backend, StatsBackend)
-        sqlite_backend.close()
+    def __init__(self) -> None:
+        self._payload: dict | None = None
+        self._generation = 0
+
+    def load(self) -> tuple[dict | None, int]:
+        return copy.deepcopy(self._payload), self._generation
+
+    def generation(self) -> int:
+        return self._generation
+
+    def commit(
+        self, payload: dict, delta: CommitDelta, expected_generation: int
+    ) -> int:
+        del delta
+        if expected_generation != self._generation:
+            raise BackendConflict(
+                f"fake moved to generation {self._generation}"
+            )
+        self._payload = copy.deepcopy(payload)
+        self._generation += 1
+        return self._generation
+
+    def close(self) -> None:
+        pass
 
 
-@pytest.fixture(params=["json", "sqlite"])
+@pytest.fixture(params=["sqlite", "fake"])
 def backend(request, tmp_path):
-    backend = open_backend(tmp_path / f"stats.{request.param}", request.param)
+    if request.param == "sqlite":
+        backend = SqliteBackend(tmp_path / "stats.sqlite")
+    else:
+        backend = FakeBackend()
     yield backend
     backend.close()
+
+
+def attach(backend):
+    """Open a store over ``backend``'s persisted state, as another
+    process would: its own sqlite connection, or the shared fake."""
+    if isinstance(backend, SqliteBackend):
+        return StatisticsStore.open(backend.path)
+    return StatisticsStore.open(backend.path, backend=backend)
+
+
+def test_both_backends_satisfy_the_protocol(tmp_path):
+    assert isinstance(FakeBackend(), StatsBackend)
+    sqlite_store = SqliteBackend(tmp_path / "a.sqlite")
+    assert isinstance(sqlite_store, StatsBackend)
+    sqlite_store.close()
 
 
 class TestBackendContract:
@@ -116,8 +140,8 @@ class TestBackendContract:
         assert backend.load() == before
 
     def test_store_ingest_retries_through_conflicts(self, backend):
-        a = StatisticsStore.open(backend.path)
-        b = StatisticsStore.open(backend.path)
+        a = attach(backend)
+        b = attach(backend)
         a.ingest(obs(rows_out=10))
         b.ingest(obs(rows_out=90))  # conflicts, reloads, re-folds
         a.sync()
@@ -127,16 +151,16 @@ class TestBackendContract:
         assert a.nodes["k1"].rows_out == 0.5 * 90 + 0.5 * 10
 
     def test_generation_counts_commits_from_any_writer(self, backend):
-        a = StatisticsStore.open(backend.path)  # creation commit: gen 1
-        b = StatisticsStore.open(backend.path)
+        a = attach(backend)  # creation commit: gen 1
+        b = attach(backend)
         for i in range(3):
             (a if i % 2 else b).ingest(obs(rows_out=i))
         assert backend.generation() == 4  # 1 creation + 3 ingests
 
     def test_run_dedupe_map_is_persisted(self, backend):
-        writer = StatisticsStore.open(backend.path)
+        writer = attach(backend)
         writer.ingest(obs(run_id="run-7", seconds=1.0))
-        reader = StatisticsStore.open(backend.path)
+        reader = attach(backend)
         assert reader._run_ingested == {"run-7": {"k1"}}
         reader.ingest(obs(run_id="run-7", rows_out=999))
         assert reader.nodes["k1"].runs == 1  # deduped across processes
@@ -150,47 +174,73 @@ class TestAtomicJsonWrites:
         assert list(tmp_path.iterdir()) == [path]  # no tmp litter
 
     def test_crash_between_write_and_replace_keeps_old_state(self, tmp_path):
-        """Kill the writer after the temp file is written but before the
-        atomic rename: the store file must still hold the previous state
-        and reload cleanly."""
+        """Kill ``save()`` after the temp file is written but before the
+        atomic rename: the snapshot must still hold the previous state
+        and load cleanly."""
         path = tmp_path / "stats.json"
-        store = StatisticsStore.open(path)
+        store = StatisticsStore()
         store.ingest(obs(rows_out=10))
+        store.save(path)
         good = path.read_text()
 
         child = os.fork()
         if child == 0:  # pragma: no cover - exercised in the fork
             # Crash at the worst instant: after fsync, before replace.
             os.replace = lambda *_: os.kill(os.getpid(), signal.SIGKILL)
-            reopened = StatisticsStore.open(path)
-            reopened.ingest(obs(rows_out=999))
+            store.ingest(obs(rows_out=999))
+            store.save(path)
             os._exit(0)  # unreachable
         _, status = os.waitpid(child, 0)
         assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
 
         assert path.read_text() == good
-        survivor = StatisticsStore.open(path)
-        assert survivor.nodes["k1"].rows_out == 10.0
+        assert StatisticsStore.load(path).nodes["k1"].rows_out == 10.0
 
     def test_torn_file_raises_clean_feedback_error(self, tmp_path):
         """A simulated torn write (truncated JSON, as the seed's
-        ``write_text`` could leave behind) fails loudly, not obscurely."""
+        ``write_text`` could leave behind) fails loudly, not obscurely —
+        loaded as a snapshot or opened as a store."""
         path = tmp_path / "stats.json"
         StatisticsStore().save(path)
         path.write_text(path.read_text()[: path.stat().st_size // 2])
         with pytest.raises(FeedbackError, match="not valid JSON"):
             StatisticsStore.load(path)
-        with pytest.raises(FeedbackError, match="not valid JSON"):
+        with pytest.raises(FeedbackError, match="repro stats migrate"):
             StatisticsStore.open(path)
 
-    def test_plain_save_export_opens_as_generation_zero(self, tmp_path):
+
+class TestNotADatabase:
+    """A store path holding something other than a sqlite database fails
+    with a :class:`FeedbackError` and leaks no connection."""
+
+    def test_garbage_file_raises_feedback_error(self, tmp_path, monkeypatch):
+        path = tmp_path / "junk.db"
+        path.write_bytes(b"not a database, not JSON either\n" * 8)
+        opened = []
+        connect = sqlite3.connect
+
+        def recording_connect(*args, **kwargs):
+            opened.append(connect(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(sqlite_backend.sqlite3, "connect", recording_connect)
+        with pytest.raises(FeedbackError, match="cannot open sqlite") as info:
+            StatisticsStore.open(path)
+        assert "stats migrate" not in str(info.value)
+        (con,) = opened
+        with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+            con.execute("SELECT 1")
+
+    def test_json_store_names_the_migrate_command(self, tmp_path):
         path = tmp_path / "stats.json"
         store = StatisticsStore()
         store.ingest(obs())
-        store.save(path)  # backend-less export: no generation key
-        attached = StatisticsStore.open(path)
-        assert attached.generation == 0
-        assert attached.estimator_view() == store.estimator_view()
+        store.save(path)
+        with pytest.raises(
+            FeedbackError, match="repro stats migrate OLD.json NEW.sqlite"
+        ):
+            StatisticsStore.open(path)
+        assert StatisticsStore.load(path).to_dict() == store.to_dict()
 
 
 class TestSqliteMigrations:
@@ -274,21 +324,50 @@ class TestSqliteMigrations:
         backend.close()
 
 
-class TestMigrateAcrossBackends:
-    @pytest.mark.parametrize(
-        "src_suffix,dst_suffix",
-        [(".json", ".sqlite"), (".sqlite", ".json")],
-    )
-    def test_migration_is_lossless_both_ways(
-        self, tmp_path, src_suffix, dst_suffix
-    ):
-        source = StatisticsStore.open(tmp_path / f"src{src_suffix}")
-        source.ingest(obs(rows_out=10, run_id="run-1", wall=0.5))
-        source.ingest(obs(key="k2", rows_out=77, seconds=9.0))
-        migrated = source.migrate_to(tmp_path / f"dst{dst_suffix}")
-        assert migrated.estimator_view() == source.estimator_view()
-        assert migrated.to_dict() == source.to_dict()
-        assert migrated._run_ingested == source._run_ingested
-        assert migrated.plan_wall_seconds("p1") == source.plan_wall_seconds(
-            "p1"
-        )
+def _same_state(got, want):
+    assert got.estimator_view() == want.estimator_view()
+    assert got.to_dict() == want.to_dict()
+    assert got._run_ingested == want._run_ingested
+    assert got.plan_wall_seconds("p1") == want.plan_wall_seconds("p1")
+
+
+class TestMigrateAcrossFormats:
+    """``repro stats migrate``: a path ending in ``.json`` is a snapshot,
+    any other path a sqlite store."""
+
+    @staticmethod
+    def _learned():
+        store = StatisticsStore()
+        store.ingest(obs(rows_out=10, run_id="run-1", wall=0.5))
+        store.ingest(obs(key="k2", rows_out=77, seconds=9.0))
+        return store
+
+    def test_sqlite_to_snapshot_to_sqlite_is_lossless(self, tmp_path, capsys):
+        source = self._learned().migrate_to(tmp_path / "src.sqlite")
+        snapshot = tmp_path / "snap.json"
+        back = tmp_path / "back.sqlite"
+        src = str(source.backend.path)
+        assert main(["stats", "migrate", src, str(snapshot)]) == 0
+        _same_state(StatisticsStore.load(snapshot), source)
+        assert main(["stats", "migrate", str(snapshot), str(back)]) == 0
+        _same_state(StatisticsStore.open(back), source)
+        assert capsys.readouterr().out.count("verified identical") == 2
+
+    @pytest.mark.parametrize("layout", ["json-backend", "save"])
+    def test_old_json_store_imports_into_sqlite(self, tmp_path, capsys, layout):
+        """A store written by the deleted JSON backend (a ``save()``
+        payload plus its ``"generation"`` commit counter) or by a plain
+        ``save()`` migrates into sqlite with nothing lost."""
+        source = self._learned()
+        payload = source.to_dict()
+        if layout == "json-backend":
+            payload["generation"] = 3
+        old = tmp_path / "x.json"
+        old.write_text(json.dumps(payload, indent=1, sort_keys=True))
+        new = tmp_path / "x.sqlite"
+        assert main(["stats", "migrate", str(old), str(new)]) == 0
+        assert "verified identical" in capsys.readouterr().out
+        migrated = StatisticsStore.open(new)
+        _same_state(migrated, source)
+        migrated.ingest(obs(rows_out=30))  # and it keeps learning
+        assert StatisticsStore.open(new).version == source.version + 1

@@ -172,8 +172,3 @@ class TestAdaptiveIntegration:
         adaptive = AdaptiveOptimizer(workload, store=make_store(), picks=2)
         report = adaptive.run(0)
         assert report.rounds[0].midquery == []
-
-    def test_midquery_requires_streaming(self):
-        workload = build_clickstream(ClickScale(sessions=250))
-        with pytest.raises(FeedbackError, match="streaming"):
-            AdaptiveOptimizer(workload, streaming=False, midquery=True)

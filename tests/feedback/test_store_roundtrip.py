@@ -92,10 +92,10 @@ class TestRoundTrip:
 
     def test_open_creates_fresh_then_loads(self, tmp_path, warm_store):
         _, store = warm_store
-        path = tmp_path / "stats.json"
+        path = tmp_path / "stats.sqlite"
         fresh = StatisticsStore.open(path)
         assert fresh.version == 0 and not fresh.nodes
-        store.save(path)
+        store.migrate_to(path)
         warm = StatisticsStore.open(path)
         assert warm.to_dict() == store.to_dict()
 

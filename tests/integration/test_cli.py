@@ -1,8 +1,16 @@
 """CLI smoke tests (python -m repro ...)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+from repro.feedback import StatisticsStore
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 def test_list(capsys):
@@ -45,7 +53,7 @@ def test_experiment(capsys):
 
 
 def test_experiment_with_feedback_rounds(capsys, tmp_path):
-    store = tmp_path / "stats.json"
+    store = tmp_path / "stats.sqlite"
     assert (
         main(
             [
@@ -84,10 +92,11 @@ def test_experiment_with_feedback_rounds(capsys, tmp_path):
     assert "round 0:" in out
 
 
-def test_experiment_with_sqlite_store_sniffed_from_extension(
-    capsys, tmp_path
+@pytest.mark.parametrize("name", ["stats.sqlite", "stats.db", "stats.sqlte"])
+def test_experiment_store_is_sqlite_whatever_the_extension(
+    capsys, tmp_path, name
 ):
-    store = tmp_path / "stats.sqlite"
+    store = tmp_path / name
     assert (
         main(
             [
@@ -105,34 +114,27 @@ def test_experiment_with_sqlite_store_sniffed_from_extension(
     )
     out = capsys.readouterr().out
     assert "round 0:" in out and "round 1:" in out
-    assert store.exists()
     assert store.read_bytes().startswith(b"SQLite format 3")
 
 
-def test_experiment_stats_backend_overrides_extension(capsys, tmp_path):
-    store = tmp_path / "stats.json"  # sniffs json; the flag wins
-    assert (
+def test_experiment_rejects_removed_stats_backend_flag(capsys, tmp_path):
+    """sqlite is the only durable backend, so ``--stats-backend`` is gone."""
+    with pytest.raises(SystemExit):
         main(
             [
                 "experiment",
                 "tpch_q15",
-                "--picks",
-                "3",
-                "--feedback-rounds",
-                "1",
                 "--stats-store",
-                str(store),
+                str(tmp_path / "stats.sqlite"),
                 "--stats-backend",
                 "sqlite",
             ]
         )
-        == 0
-    )
-    capsys.readouterr()
-    assert store.read_bytes().startswith(b"SQLite format 3")
+    assert "--stats-backend" in capsys.readouterr().err
 
 
 def test_stats_migrate_json_to_sqlite(capsys, tmp_path):
+    live = tmp_path / "live.sqlite"
     src = tmp_path / "stats.json"
     dst = tmp_path / "stats.sqlite"
     assert (
@@ -145,12 +147,14 @@ def test_stats_migrate_json_to_sqlite(capsys, tmp_path):
                 "--feedback-rounds",
                 "1",
                 "--stats-store",
-                str(src),
+                str(live),
             ]
         )
         == 0
     )
     capsys.readouterr()
+    assert main(["stats", "migrate", str(live), str(src)]) == 0
+    assert src.read_text().startswith("{")  # a JSON snapshot
     assert main(["stats", "migrate", str(src), str(dst)]) == 0
     out = capsys.readouterr().out
     assert "estimator view verified identical" in out
@@ -187,6 +191,24 @@ def test_stats_migrate_reports_unreadable_source(capsys, tmp_path):
     assert "migration failed" in capsys.readouterr().err
 
 
+def test_stats_migrate_missing_source_creates_nothing(capsys, tmp_path):
+    src = tmp_path / "typo.sqlite"
+    dst = tmp_path / "out.sqlite"
+    assert main(["stats", "migrate", str(src), str(dst)]) == 1
+    assert "does not exist" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # no empty store at either path
+
+
+def test_stats_migrate_force_overwrites_a_snapshot(capsys, tmp_path):
+    src = tmp_path / "stats.sqlite"
+    StatisticsStore.open(src).close()
+    dst = tmp_path / "export.json"
+    dst.write_text("stale")
+    assert main(["stats", "migrate", str(src), str(dst), "--force"]) == 0
+    assert "verified identical" in capsys.readouterr().out
+    assert StatisticsStore.load(dst).to_dict() == StatisticsStore().to_dict()
+
+
 def test_unknown_workload_rejected():
     with pytest.raises(SystemExit):
         main(["analyze", "nope"])
@@ -199,51 +221,45 @@ def test_experiment_rejects_removed_jobs_flag(capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
-def test_experiment_warns_on_unknown_store_extension(capsys, tmp_path):
-    """A typo'd extension must not *silently* fall back to JSON: the
-    sniff warns (naming the path and the fallback) and still works."""
-    store = tmp_path / "stats.sqlte"  # the classic typo
-    with pytest.warns(UserWarning, match="unknown extension '.sqlte'"):
-        assert (
-            main(
-                [
-                    "experiment",
-                    "tpch_q15",
-                    "--picks",
-                    "3",
-                    "--feedback-rounds",
-                    "1",
-                    "--stats-store",
-                    str(store),
-                ]
-            )
-            == 0
-        )
-    capsys.readouterr()
-    # The documented fallback still happened: a JSON store was written.
-    assert store.read_text().lstrip().startswith("{")
+@pytest.mark.parametrize("command", ["experiment", "migrate"])
+def test_non_database_store_fails_cleanly(tmp_path, command):
+    """A file that is not a sqlite database at a store path exits 1 with
+    a one-line error, not a traceback, and the file is left alone."""
+    junk = tmp_path / "junk.db"
+    content = b"torn or foreign bytes, not a database\n" * 8
+    junk.write_bytes(content)
+    argv = {
+        "experiment": [
+            "experiment", "clickstream", "--feedback-rounds", "1",
+            "--stats-store", str(junk),
+        ],
+        "migrate": ["stats", "migrate", str(junk), str(tmp_path / "out.sqlite")],
+    }[command]
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "cannot open sqlite statistics store" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert junk.read_bytes() == content
 
 
-def test_experiment_known_store_extensions_do_not_warn(
-    capsys, tmp_path, recwarn
-):
-    for name in ("stats.json", "stats.sqlite"):
-        assert (
-            main(
-                [
-                    "experiment",
-                    "tpch_q15",
-                    "--picks",
-                    "3",
-                    "--feedback-rounds",
-                    "1",
-                    "--stats-store",
-                    str(tmp_path / name),
-                ]
-            )
-            == 0
-        )
-    capsys.readouterr()
-    assert not [
-        w for w in recwarn if "unknown extension" in str(w.message)
-    ]
+def test_old_json_store_at_store_path_names_migrate(capsys, tmp_path):
+    store = tmp_path / "stats.json"
+    StatisticsStore().save(store)
+    code = main(
+        [
+            "experiment",
+            "tpch_q15",
+            "--feedback-rounds",
+            "1",
+            "--stats-store",
+            str(store),
+        ]
+    )
+    assert code == 1
+    assert "repro stats migrate OLD.json NEW.sqlite" in capsys.readouterr().err

@@ -1,9 +1,8 @@
 """Tracing must be a pure observer: bit-identical results on vs off.
 
 The tracer reads wall-clock only; it must never touch the modeled time
-axis.  These tests pin that across all four paper workloads, streaming
-and materializing engines, staged execution with a forced mid-query
-switch, and the optimizer/feedback loops: the records, per-op
+axis.  These tests pin that across all four paper workloads, staged
+execution with a forced mid-query switch, and the optimizer/feedback loops: the records, per-op
 :class:`OpMetrics`, modeled seconds, and ranked plan costs are *exactly*
 equal with a live :class:`Tracer` and with the default no-op tracer.
 """
@@ -47,21 +46,11 @@ def optimized():
 
 class TestEngineParity:
     @pytest.mark.parametrize("name", sorted(BUILDERS))
-    @pytest.mark.parametrize(
-        "streaming", [True, False], ids=["streaming", "materializing"]
-    )
-    def test_execute_bit_identical_traced_vs_untraced(
-        self, optimized, name, streaming
-    ):
+    def test_execute_bit_identical_traced_vs_untraced(self, optimized, name):
         workload, picks = optimized[name]
         tracer = Tracer()
-        untraced = Engine(
-            workload.params, workload.true_costs, streaming=streaming
-        )
-        traced = Engine(
-            workload.params, workload.true_costs,
-            streaming=streaming, tracer=tracer,
-        )
+        untraced = Engine(workload.params, workload.true_costs)
+        traced = Engine(workload.params, workload.true_costs, tracer=tracer)
         for plan in picks:
             want = untraced.execute(plan.physical, workload.data)
             got = traced.execute(plan.physical, workload.data)
