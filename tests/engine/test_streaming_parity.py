@@ -3,11 +3,14 @@
 Fused forward-shipped Map chains (and the Sink) stream each partition
 in bounded batches, and the subtree cache keys on pipeline-stage
 boundaries.  These tests pin that the batch size never changes a fused
-chain's output or row counts, that cache replays are exact, how plans
+chain's output or row counts, that neither cache replays nor tracing
+change the feedback observations, that cache replays are exact, how plans
 decompose into stages, and that mixed-type keys group as the reference
 evaluator groups them.  The records and metrics themselves are pinned
 by the engine goldens (``tests/engine/test_golden.py``).
 """
+
+import copy
 
 import pytest
 
@@ -27,8 +30,10 @@ from repro.core import (
     reduce_udf,
 )
 from repro.datagen import ClickScale, CorpusScale, TpchScale
-from repro.engine import Engine, round_robin
-from repro.engine.executor import run_chain_partition
+from repro.engine import Engine, executor, round_robin
+from repro.engine.executor import BATCH_ROWS, run_chain_partition
+from repro.feedback import ObservationCollector
+from repro.obs import Tracer
 from repro.optimizer import (
     CardinalityEstimator,
     CostParams,
@@ -84,6 +89,33 @@ class TestBatchSize:
             whole = run_chain_partition(ops, part, max(len(part), 1))
             assert run_chain_partition(ops, part, batch) == whole
 
+    @pytest.mark.parametrize("name", ["textmining", "tpch_q15", "tpch_q7"])
+    def test_every_fused_chain_is_batch_invariant(
+        self, optimized, monkeypatch, name
+    ):
+        """Every partition the engine streams through a fused chain, on
+        every picked plan (breaker-led chains included), gives in batches
+        of 1 and 7 rows what it gave at ``BATCH_ROWS`` and in one batch."""
+        workload, picks = optimized[name]
+        calls = []
+
+        def recording(ops, rows, batch):
+            assert batch == BATCH_ROWS
+            rows = copy.deepcopy(rows)
+            got = run_chain_partition(ops, copy.deepcopy(rows), batch)
+            calls.append((list(ops), rows, got))
+            return got
+
+        monkeypatch.setattr(executor, "run_chain_partition", recording)
+        engine = Engine(workload.params, workload.true_costs)
+        for plan in picks:
+            engine.execute(plan.physical, workload.data)
+        assert any(rows for _, rows, _ in calls)
+        for ops, rows, got in calls:
+            whole = run_chain_partition(ops, rows, max(len(rows), 1))
+            assert got == whole
+            for batch in (1, 7):
+                assert run_chain_partition(ops, rows, batch) == whole
 
     def test_an_emptied_batch_skips_the_rest_of_the_chain(self):
         """A Map that drops every row ends the batch: later Maps see no
@@ -104,6 +136,46 @@ class TestBatchSize:
         rows = [{fields[0]: i} for i in range(5)]
         assert run_chain_partition(ops, rows, 2) == ([], [5, 5, 0], [5, 0, 0])
         assert run_chain_partition(ops, [], 2) == ([], [0, 0, 0], [0, 0, 0])
+
+
+class TestObservations:
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_collected_observations_identical_across_engine_paths(
+        self, optimized, name
+    ):
+        """The feedback subsystem's per-op observations — rows-in,
+        rows-out, UDF calls, everything — must not depend on whether the
+        engine replays cached subtrees or records a trace."""
+        workload, picks = optimized[name]
+        paths = {
+            "plain": {},
+            "cached": {"reuse_subtree_results": True},
+            "traced": {"tracer": Tracer()},
+        }
+        collected = {}
+        for path, options in paths.items():
+            collector = ObservationCollector()
+            engine = Engine(
+                workload.params, workload.true_costs, collector=collector,
+                **options,
+            )
+            for plan in picks:
+                engine.execute(plan.physical, workload.data)
+            collected[path] = collector.executions
+        want = collected["plain"]
+        assert len(want) == len(picks)  # the hook fired once per execution
+        for path in ("cached", "traced"):
+            assert collected[path] == want
+            # Field-level check for the headline quantities, exact equality.
+            for got, exp in zip(collected[path], want):
+                assert (got.plan_key, got.seconds) == (exp.plan_key, exp.seconds)
+                assert [
+                    (op.key, op.rows_in, op.rows_out, op.udf_calls)
+                    for op in got.ops
+                ] == [
+                    (op.key, op.rows_in, op.rows_out, op.udf_calls)
+                    for op in exp.ops
+                ]
 
 
 class TestBreakerBoundaryCache:

@@ -1,9 +1,11 @@
 """Shared feedback fixtures.
 
-``make_store`` parametrizes store-driven tests over both ways a store
-runs: a plain in-memory store (the seed behavior) and a sqlite-WAL store.
-Policy semantics are pinned to be bit-identical across the two, so any
-test that holds for one must hold for the other.
+``make_store`` parametrizes store-driven tests over every way a store
+runs: a plain in-memory store (the seed behavior), a sqlite-WAL store,
+and a store committing through the :class:`~.fakes.FakeBackend`
+protocol double (the backend-attached path without sqlite).  Policy
+semantics are pinned to be bit-identical across the three, so any test
+that holds for one must hold for the others.
 """
 
 import itertools
@@ -11,9 +13,10 @@ import itertools
 import pytest
 
 from repro.feedback import StatisticsStore
+from tests.feedback.fakes import FakeBackend
 
 
-@pytest.fixture(params=["memory", "sqlite"])
+@pytest.fixture(params=["memory", "sqlite", "fake"])
 def make_store(request, tmp_path):
     """Factory building fresh stores on the parametrized backend."""
     counter = itertools.count()
@@ -21,6 +24,10 @@ def make_store(request, tmp_path):
     def make(**kwargs):
         if request.param == "memory":
             return StatisticsStore(**kwargs)
+        if request.param == "fake":
+            return StatisticsStore.open(
+                FakeBackend.path, backend=FakeBackend(), **kwargs
+            )
         return StatisticsStore.open(
             tmp_path / f"stats-{next(counter)}.sqlite", **kwargs
         )

@@ -3,16 +3,19 @@
 The acceptance bar of the backend split: with a single writer, the
 entire feedback stack — EMA folds, estimator-view fingerprints,
 adaptive-loop picks, q-error trajectories, mid-query switch decisions —
-is **bit-identical** between an in-memory store and a sqlite-backed
-store.  Any float drift (a REAL that round-trips
-differently, an iteration-order change in the learned-hint folds) fails
-these exact-equality assertions.
+is **bit-identical** between an in-memory store, a sqlite-backed store
+and a store committing through the protocol fake.  Any float drift (a
+REAL that round-trips differently, an iteration-order change in the
+learned-hint folds) fails these exact-equality assertions.
 """
+
+import pytest
 
 from repro.datagen import ClickScale, TpchScale
 from repro.feedback import AdaptiveOptimizer, StatisticsStore, run_midquery
 from repro.optimizer import Hints
 from repro.workloads import build_clickstream, build_q15
+from tests.feedback.fakes import FakeBackend
 
 SMALL_TPCH = TpchScale(suppliers=40, customers=80, orders=400)
 
@@ -30,6 +33,8 @@ def mis_hinted(scale=None):
 def _store_at(tmp_path, backend):
     if backend == "memory":
         return StatisticsStore()
+    if backend == "fake":
+        return StatisticsStore.open(FakeBackend.path, backend=FakeBackend())
     return StatisticsStore.open(tmp_path / f"stats-{backend}.sqlite")
 
 
@@ -50,12 +55,16 @@ def _adaptive_trace(workload, store, rounds=2):
     ]
 
 
+BACKENDS = ("memory", "sqlite", "fake")
+
+
 class TestAdaptiveLoopParity:
-    def test_trajectory_is_bit_identical_to_memory(self, tmp_path):
+    @pytest.mark.parametrize("backend", BACKENDS[1:])
+    def test_trajectory_is_bit_identical_to_memory(self, tmp_path, backend):
         reference = _adaptive_trace(
             build_clickstream(ClickScale(sessions=250)), StatisticsStore()
         )
-        store = _store_at(tmp_path, "sqlite")
+        store = _store_at(tmp_path, backend)
         got = _adaptive_trace(
             build_clickstream(ClickScale(sessions=250)), store
         )
@@ -64,20 +73,27 @@ class TestAdaptiveLoopParity:
     def test_final_views_identical_across_all_backends(self, tmp_path):
         views = {}
         hints = {}
-        for backend in ("memory", "sqlite"):
+        for backend in BACKENDS:
             workload = build_q15(SMALL_TPCH)
             store = _store_at(tmp_path, backend)
             AdaptiveOptimizer(workload, store=store, picks=5).run(1)
             views[backend] = store.estimator_view()
             hints[backend] = store.learned_hints()
-        assert views["sqlite"] == views["memory"]
-        assert hints["sqlite"] == hints["memory"]
+        for backend in BACKENDS[1:]:
+            assert views[backend] == views["memory"]
+            assert hints[backend] == hints["memory"]
 
-    def test_views_survive_reopen_bit_identically(self, tmp_path):
+    @pytest.mark.parametrize("backend", BACKENDS[1:])
+    def test_views_survive_reopen_bit_identically(self, tmp_path, backend):
         workload = build_q15(SMALL_TPCH)
-        store = _store_at(tmp_path, "sqlite")
+        store = _store_at(tmp_path, backend)
         AdaptiveOptimizer(workload, store=store, picks=5).run(1)
-        reopened = StatisticsStore.open(store.backend.path)
+        if backend == "fake":  # a second store over the same fake
+            reopened = StatisticsStore.open(
+                store.backend.path, backend=store.backend
+            )
+        else:
+            reopened = StatisticsStore.open(store.backend.path)
         assert reopened.estimator_view() == store.estimator_view()
         assert reopened.to_dict() == store.to_dict()
         for key in store.plans:
@@ -88,7 +104,7 @@ class TestMidQueryParity:
     def test_switch_decisions_identical_across_backends(self, tmp_path):
         decisions = {}
         views = {}
-        for backend in ("memory", "sqlite"):
+        for backend in BACKENDS:
             workload, hints = mis_hinted(ClickScale(sessions=250))
             store = _store_at(tmp_path, backend)
             experiment = run_midquery(
@@ -105,5 +121,6 @@ class TestMidQueryParity:
                 for d in experiment.decisions
             ]
             views[backend] = store.estimator_view()
-        assert decisions["sqlite"] == decisions["memory"]
-        assert views["sqlite"] == views["memory"]
+        for backend in BACKENDS[1:]:
+            assert decisions[backend] == decisions["memory"]
+            assert views[backend] == views["memory"]

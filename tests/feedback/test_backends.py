@@ -11,7 +11,6 @@ state between snapshots — old JSON stores included — and sqlite without
 loss.
 """
 
-import copy
 import json
 import os
 import signal
@@ -19,11 +18,12 @@ import sqlite3
 
 import pytest
 
+from repro.bench import run_experiment
 from repro.cli import main
 from repro.core.errors import FeedbackError
+from repro.datagen import TpchScale
 from repro.feedback import (
     BackendConflict,
-    CommitDelta,
     SqliteBackend,
     StatisticsStore,
     StatsBackend,
@@ -31,6 +31,11 @@ from repro.feedback import (
 from repro.feedback.backends import sqlite_backend, write_json_atomic
 from repro.feedback.backends.sqlite_backend import SCHEMA_VERSION
 from repro.feedback.observation import ExecutionObservation, OpObservation
+from repro.serve import ServerConfig
+from repro.workloads import build_q15
+from tests.feedback.fakes import FakeBackend
+
+SMALL_TPCH = TpchScale(suppliers=40, customers=80, orders=400)
 
 
 def obs(key="k1", rows_out=40, seconds=2.0, run_id=None, wall=0.0):
@@ -52,41 +57,6 @@ def obs(key="k1", rows_out=40, seconds=2.0, run_id=None, wall=0.0):
         run_id=run_id,
         wall_seconds=wall,
     )
-
-
-class FakeBackend:
-    """Whole-snapshot :class:`StatsBackend` kept in memory.
-
-    Every store opened over one instance sees the same persisted state,
-    as two processes see one database file; the delta is ignored.
-    """
-
-    path = "<memory>"
-
-    def __init__(self) -> None:
-        self._payload: dict | None = None
-        self._generation = 0
-
-    def load(self) -> tuple[dict | None, int]:
-        return copy.deepcopy(self._payload), self._generation
-
-    def generation(self) -> int:
-        return self._generation
-
-    def commit(
-        self, payload: dict, delta: CommitDelta, expected_generation: int
-    ) -> int:
-        del delta
-        if expected_generation != self._generation:
-            raise BackendConflict(
-                f"fake moved to generation {self._generation}"
-            )
-        self._payload = copy.deepcopy(payload)
-        self._generation += 1
-        return self._generation
-
-    def close(self) -> None:
-        pass
 
 
 @pytest.fixture(params=["sqlite", "fake"])
@@ -112,6 +82,29 @@ def test_both_backends_satisfy_the_protocol(tmp_path):
     sqlite_store = SqliteBackend(tmp_path / "a.sqlite")
     assert isinstance(sqlite_store, StatsBackend)
     sqlite_store.close()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda tmp_path: StatisticsStore().migrate_to(
+            tmp_path / "stats.json", backend="json"
+        ),
+        lambda tmp_path: run_experiment(
+            build_q15(SMALL_TPCH), stats_store=tmp_path / "s.json",
+            stats_backend="json",
+        ),
+        lambda tmp_path: ServerConfig(stats_dir=tmp_path, stats_backend="json"),
+    ],
+    ids=["migrate_to-backend", "run_experiment-stats_backend",
+         "ServerConfig-stats_backend"],
+)
+def test_removed_backend_options_are_rejected(tmp_path, call):
+    """sqlite is the one durable backend: the options that picked
+    another are gone, and passing one creates no file."""
+    with pytest.raises(TypeError, match="backend"):
+        call(tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestBackendContract:
@@ -209,13 +202,70 @@ class TestAtomicJsonWrites:
             StatisticsStore.open(path)
 
 
+class TestStorePaths:
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "stats.sqlite",
+            "stats.sqlite3",
+            "stats.db",
+            "stats.SQLITE",
+            "stats.json",
+            "stats",
+            "stats.txt",
+        ],
+    )
+    def test_any_store_path_opens_as_sqlite(self, tmp_path, name):
+        """No extension sniffing: every store path is a sqlite database,
+        and what one store learns another reads back from the file."""
+        path = tmp_path / name
+        store = StatisticsStore.open(path)
+        assert isinstance(store.backend, SqliteBackend)
+        store.ingest(obs(run_id="run-1"))
+        store.close()
+        assert path.read_bytes().startswith(b"SQLite format 3\x00")
+        reopened = StatisticsStore.open(path)
+        assert isinstance(reopened.backend, SqliteBackend)
+        assert reopened.to_dict() == store.to_dict()
+        assert reopened._run_ingested == {"run-1": {"k1"}}
+        reopened.close()
+
+    def test_empty_file_opens_as_a_fresh_store(self, tmp_path):
+        """A zero-byte file (``touch stats.db``) is an empty sqlite
+        database, not a foreign file: it opens as a fresh store."""
+        path = tmp_path / "stats.db"
+        path.touch()
+        store = StatisticsStore.open(path)
+        assert store.version == 0
+        assert store.to_dict() == StatisticsStore().to_dict()
+        store.close()
+        assert path.read_bytes().startswith(b"SQLite format 3\x00")
+
+
+def _torn_database(path):
+    """The first half of a real store's database file."""
+    store = StatisticsStore.open(path)
+    for i in range(20):
+        store.ingest(obs(key=f"k{i}", rows_out=i))
+    store.close()
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
 class TestNotADatabase:
     """A store path holding something other than a sqlite database fails
     with a :class:`FeedbackError` and leaks no connection."""
 
-    def test_garbage_file_raises_feedback_error(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("content", ["garbage", "torn-database"])
+    def test_non_database_file_raises_feedback_error(
+        self, tmp_path, monkeypatch, content
+    ):
         path = tmp_path / "junk.db"
-        path.write_bytes(b"not a database, not JSON either\n" * 8)
+        if content == "garbage":
+            path.write_bytes(b"not a database, not JSON either\n" * 8)
+        else:
+            _torn_database(path)
+        before = path.read_bytes()
         opened = []
         connect = sqlite3.connect
 
@@ -230,16 +280,27 @@ class TestNotADatabase:
         (con,) = opened
         with pytest.raises(sqlite3.ProgrammingError, match="closed"):
             con.execute("SELECT 1")
+        assert path.read_bytes() == before
 
-    def test_json_store_names_the_migrate_command(self, tmp_path):
+    @pytest.mark.parametrize("layout", ["save", "json-backend"])
+    def test_json_store_names_the_migrate_command(self, tmp_path, layout):
+        """A ``save()`` snapshot, or a store the deleted JSON backend
+        wrote (the same payload plus a ``"generation"`` counter), at a
+        store path names the import command and is left untouched."""
         path = tmp_path / "stats.json"
         store = StatisticsStore()
         store.ingest(obs())
         store.save(path)
+        if layout == "json-backend":
+            payload = json.loads(path.read_text())
+            payload["generation"] = 2
+            path.write_text(json.dumps(payload))
+        before = path.read_bytes()
         with pytest.raises(
             FeedbackError, match="repro stats migrate OLD.json NEW.sqlite"
         ):
             StatisticsStore.open(path)
+        assert path.read_bytes() == before
         assert StatisticsStore.load(path).to_dict() == store.to_dict()
 
 

@@ -117,20 +117,27 @@ def test_experiment_store_is_sqlite_whatever_the_extension(
     assert store.read_bytes().startswith(b"SQLite format 3")
 
 
-def test_experiment_rejects_removed_stats_backend_flag(capsys, tmp_path):
-    """sqlite is the only durable backend, so ``--stats-backend`` is gone."""
-    with pytest.raises(SystemExit):
-        main(
-            [
-                "experiment",
-                "tpch_q15",
-                "--stats-store",
-                str(tmp_path / "stats.sqlite"),
-                "--stats-backend",
-                "sqlite",
-            ]
-        )
-    assert "--stats-backend" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment", "tpch_q15", "--stats-store", "{dir}/stats.sqlite",
+         "--stats-backend", "sqlite"],
+        ["serve", "--stats-dir", "{dir}", "--stats-backend", "sqlite"],
+        ["stats", "migrate", "{dir}/a.json", "{dir}/b.sqlite",
+         "--from-backend", "json"],
+        ["stats", "migrate", "{dir}/a.sqlite", "{dir}/b.json",
+         "--to-backend", "json"],
+    ],
+    ids=["experiment", "serve", "migrate-from", "migrate-to"],
+)
+def test_removed_backend_flags_are_rejected(capsys, tmp_path, argv):
+    """sqlite is the only durable backend, so the flags that picked
+    another are gone: argparse refuses them before anything runs."""
+    with pytest.raises(SystemExit) as info:
+        main([arg.format(dir=tmp_path) for arg in argv])
+    assert info.value.code == 2
+    assert argv[-2] in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_stats_migrate_json_to_sqlite(capsys, tmp_path):

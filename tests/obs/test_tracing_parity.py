@@ -60,6 +60,25 @@ class TestEngineParity:
         assert tracer.spans  # the traced engine actually traced
         assert tracer.metrics.counters["engine.executions"] == len(picks)
 
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_execute_staged_bit_identical_traced_vs_untraced(
+        self, optimized, name
+    ):
+        """Stage-by-stage execution without a controller records its
+        stage spans and changes nothing it returns."""
+        workload, picks = optimized[name]
+        tracer = Tracer()
+        untraced = Engine(workload.params, workload.true_costs)
+        traced = Engine(workload.params, workload.true_costs, tracer=tracer)
+        for plan in picks:
+            want = untraced.execute_staged(plan.physical, workload.data)
+            got = traced.execute_staged(plan.physical, workload.data)
+            assert got.records == want.records
+            assert got.report.per_op == want.report.per_op
+            assert got.seconds == want.seconds
+        assert tracer.spans
+        assert tracer.metrics.counters["engine.executions"] == len(picks)
+
     def test_wall_seconds_measured_with_tracing_off(self, optimized):
         """The report's wall-clock axis must not depend on the tracer."""
         workload, picks = optimized["clickstream"]
