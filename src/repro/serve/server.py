@@ -94,6 +94,10 @@ def view_fingerprint(view: dict[str, tuple]) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
+#: How long :meth:`PlanningServer.stop` lets in-flight requests finish.
+STOP_GRACE_SECONDS = 5.0
+
+
 @dataclass(slots=True)
 class ServerConfig:
     """Everything a :class:`PlanningServer` needs to know at startup."""
@@ -204,6 +208,11 @@ class PlanningServer:
         self._metrics_server: asyncio.AbstractServer | None = None
         self._shutdown: asyncio.Event | None = None
         self._reopt_task: asyncio.Task | None = None
+        #: Live connection handlers (both listeners) and their writers;
+        #: ``_busy`` holds the ones between reading a request and
+        #: sending its reply.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
+        self._busy: set[asyncio.Task] = set()
         self.port: int | None = None
         self.metrics_port: int | None = None
 
@@ -235,15 +244,34 @@ class PlanningServer:
             self._shutdown.set()
 
     async def stop(self) -> None:
+        """Stop listening, drain every connection, then close the stores.
+
+        Idle connections get EOF at once; a request in flight may finish
+        and send its reply within :data:`STOP_GRACE_SECONDS`, after which
+        its handler is cancelled.  Every handler has ended on return.
+        """
+        self.request_shutdown()
         if self._reopt_task is not None:
             self._reopt_task.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await self._reopt_task
             self._reopt_task = None
-        for server in (self._server, self._metrics_server):
-            if server is not None:
-                server.close()
-                await server.wait_closed()
+        servers = [
+            s for s in (self._server, self._metrics_server) if s is not None
+        ]
+        for server in servers:
+            server.close()
+        for task, writer in list(self._connections.items()):
+            if task not in self._busy:
+                writer.close()
+        handlers = set(self._connections)
+        if handlers:
+            _, late = await asyncio.wait(handlers, timeout=STOP_GRACE_SECONDS)
+            for task in late:
+                task.cancel()
+            await asyncio.gather(*handlers, return_exceptions=True)
+        for server in servers:
+            await server.wait_closed()
         self._server = self._metrics_server = None
         for tenant in self._tenants.values():
             tenant.store.close()
@@ -254,24 +282,32 @@ class PlanningServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
-            while True:
+            while not self._shutdown.is_set():
                 try:
                     line = await reader.readline()
                 except (ValueError, ConnectionError):
                     break  # oversized or torn line: drop the connection
-                if not line:
+                if not line or self._shutdown.is_set():
                     break
-                response = await self._dispatch(line)
-                writer.write(encode_message(response))
+                self._busy.add(task)
                 try:
+                    response = await self._dispatch(line)
+                    writer.write(encode_message(response))
                     await writer.drain()
                 except ConnectionError:
                     break
+                finally:
+                    self._busy.discard(task)
+        except asyncio.CancelledError:
+            pass  # stop()'s grace period ran out: end like a closed client
         finally:
             writer.close()
             with contextlib.suppress(ConnectionError, asyncio.CancelledError):
                 await writer.wait_closed()
+            del self._connections[task]
 
     async def _dispatch(self, line: bytes) -> dict:
         try:
@@ -692,6 +728,8 @@ class PlanningServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         """Minimal HTTP/1.1 GET endpoint: ``/metrics`` in Prometheus text."""
+        task = asyncio.current_task()
+        self._connections[task] = writer  # never busy: stop() closes it
         try:
             request_line = await reader.readline()
             while True:
@@ -720,6 +758,7 @@ class PlanningServer:
             writer.close()
             with contextlib.suppress(ConnectionError):
                 await writer.wait_closed()
+            del self._connections[task]
 
 
 _MODE = {

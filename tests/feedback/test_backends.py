@@ -159,6 +159,67 @@ class TestBackendContract:
         assert reader.nodes["k1"].runs == 1  # deduped across processes
 
 
+def contended_obs(writer: int, i: int) -> ExecutionObservation:
+    """One writer's ``i``-th run: its own plan and operator, plus one
+    operator that every writer shares."""
+
+    def op(key: str, rows_out: int) -> OpObservation:
+        return OpObservation(
+            key=key,
+            op_name=key,
+            kind="map",
+            rows_in=1000,
+            rows_out=rows_out,
+            udf_calls=1000,
+            cpu_per_call=1.5,
+            disk_bytes=0.0,
+        )
+
+    return ExecutionObservation(
+        plan_key=f"plan-{writer}",
+        seconds=1.0 + 0.01 * i,
+        ops=(op(f"private-{writer}", 100 + i), op("shared", 500 + writer)),
+    )
+
+
+def test_concurrent_forked_writers_lose_no_update(tmp_path):
+    """Three processes ingest into one sqlite store at the same time:
+    every ingest commits exactly once, on the shared operator too."""
+    writers, ingests = 3, 20
+    path = tmp_path / "contended.sqlite"
+    StatisticsStore.open(path).close()  # writers race ingests, not creation
+    start, go = os.pipe()  # one byte per writer starts them together
+    children = []
+    for writer in range(writers):
+        child = os.fork()
+        if child == 0:  # pragma: no cover - exercised in the fork
+            code = 1
+            try:
+                store = StatisticsStore.open(path)
+                os.read(start, 1)
+                for i in range(ingests):
+                    store.ingest(contended_obs(writer, i))
+                code = 0
+            finally:
+                os._exit(code)
+        children.append(child)
+    os.write(go, b"x" * writers)
+    os.close(start)
+    os.close(go)
+    for child in children:
+        _, status = os.waitpid(child, 0)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+
+    final = StatisticsStore.open(path)
+    assert final.version == writers * ingests
+    assert final.generation == writers * ingests + 1  # + the creation commit
+    assert final.nodes["shared"].runs == writers * ingests
+    for writer in range(writers):
+        assert final.nodes[f"private-{writer}"].runs == ingests
+        assert final.plans[f"plan-{writer}"].runs == ingests
+    final.close()
+
+
 class TestAtomicJsonWrites:
     def test_write_lands_complete_or_not_at_all(self, tmp_path):
         path = tmp_path / "stats.json"

@@ -101,6 +101,7 @@ def test_invalidate_evicts_exactly_the_dirty_spine(workloads):
     dirty = {n for n in before if "gamma_revenue" in opt.ctx.op_names(n)}
     evicted = memo.invalidate({"gamma_revenue"})
     assert evicted == len(dirty)
+    assert 0 < evicted < len(before)  # a spine, not the whole memo
     assert set(memo.table) == before - dirty
     assert set(memo.est_cache) == before - dirty
     # clean entries survived untouched; a second invalidation is a no-op

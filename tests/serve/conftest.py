@@ -6,17 +6,37 @@ daemon thread and exposes synchronous hooks: connect a blocking client,
 run one background re-optimization pass to completion, shut down.  Tests
 get a real TCP round trip (the same bytes the CLI client sends) without
 subprocess startup cost.
+
+Every test here fails on an unraisable exception (an exception raised
+where nothing can catch it, such as a connection handler's ``finally``
+running after its event loop closed): a server that shuts down cleanly
+leaves none behind.
 """
 
 from __future__ import annotations
 
 import asyncio
+import gc
 import threading
+from pathlib import Path
 
 import pytest
 
 from repro.obs import Tracer
 from repro.serve import PlanningClient, PlanningServer, ServerConfig
+
+
+SERVE_TESTS = Path(__file__).parent
+
+
+def pytest_collection_modifyitems(items) -> None:
+    for item in items:
+        if item.path.is_relative_to(SERVE_TESTS):
+            item.add_marker(
+                pytest.mark.filterwarnings(
+                    "error::pytest.PytestUnraisableExceptionWarning"
+                )
+            )
 
 
 class ServerThread:
@@ -98,3 +118,7 @@ def make_server():
     yield build
     for server in servers:
         server.stop()
+    # Collect the stopped servers now, so that anything they leave
+    # behind is reported against this test and not a later one.
+    servers.clear()
+    gc.collect()

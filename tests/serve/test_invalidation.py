@@ -15,6 +15,7 @@ import threading
 from repro.feedback.observation import ExecutionObservation, OpObservation
 from repro.feedback.store import StatisticsStore
 from repro.serve import ServerConfig
+from repro.workloads import ALL_WORKLOADS
 
 
 def foreign_ingest(store_path, op_name="sigma_shipdate", rows_out=321.0):
@@ -77,6 +78,32 @@ def test_other_tenants_cache_survives_foreign_commit(make_server, tmp_path):
         assert client.plan("tpch_q7", tenant="noisy")["cache"] == "miss"
         # Invalidation is exact: the other tenant's entry is untouched.
         assert client.plan("tpch_q7", tenant="quiet")["cache"] == "hit"
+
+
+def test_differently_seeded_tenants_never_share_a_plan(make_server, tmp_path):
+    """Two tenants whose stores differ only in an operator that no
+    workload contains get equal plans under distinct cache keys, and
+    each warm repeat hits its own tenant's entry."""
+    tenants = ("left", "right")
+    (tmp_path / "stats").mkdir()
+    for salt, tenant in enumerate(tenants):
+        foreign_ingest(tmp_path / "stats" / f"{tenant}.sqlite", f"salt_{salt}")
+    server = make_stats_server(make_server, tmp_path)
+    requests = [(t, w) for t in tenants for w in sorted(ALL_WORKLOADS)]
+    with server.connect() as client:
+        cold = {(t, w): client.plan(w, tenant=t) for t, w in requests}
+        warm = {(t, w): client.plan(w, tenant=t) for t, w in requests}
+        counters = client.metrics()["counters"]
+    assert {r["cache"] for r in cold.values()} == {"miss"}
+    assert {r["cache"] for r in warm.values()} == {"hit"}
+    assert len({r["fingerprint"] for r in cold.values()}) == len(tenants)
+    for workload in ALL_WORKLOADS:
+        assert len({cold[t, workload]["cost"] for t in tenants}) == 1
+    assert counters["serve.planned"] == len(requests)
+    assert counters["serve.cache_misses"] == len(requests)
+    assert counters["serve.cache_hits"] == len(requests)
+    assert "serve.cache_cross_tenant_hits" not in counters
+    assert "serve.rejected" not in counters
 
 
 def test_ingest_landing_mid_request_cannot_poison_the_cache(

@@ -7,12 +7,15 @@ server adds caching and scheduling, never arithmetic.
 
 from __future__ import annotations
 
+import asyncio
+import socket
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.core import AnnotationMode, body
+from repro.core import AnnotationMode
 from repro.core.plan import linearize, signature_key
 from repro.feedback.estimator import FeedbackEstimator
 from repro.feedback.store import StatisticsStore
@@ -20,6 +23,7 @@ from repro.obs import Tracer
 from repro.optimizer import Optimizer
 from repro.serve import ServeError, ServerConfig
 from repro.workloads import ALL_WORKLOADS
+from tests.serve.test_admission import BlockingPlanner, _plan_async
 
 
 @pytest.mark.parametrize("name", sorted(ALL_WORKLOADS))
@@ -162,3 +166,28 @@ def test_shutdown_op_stops_the_server(make_server):
         assert client.shutdown()["shutting_down"] is True
     server._thread.join(timeout=30)
     assert not server._thread.is_alive()
+
+
+def test_stop_drains_idle_and_in_flight_connections(make_server, monkeypatch):
+    """Shutdown gives an idle client EOF at once, lets a request in
+    flight send its reply, and leaves no connection handler behind."""
+    server = make_server()
+    planner = BlockingPlanner()
+    planner.install(monkeypatch, server)
+    busy, box = _plan_async(server, "busy")
+    assert planner.started.acquire(timeout=30)
+    with socket.create_connection(("127.0.0.1", server.port), timeout=5) as idle:
+        idle.sendall(b'{"op": "ping"}\n')
+        assert b'"pong": true' in idle.makefile("rb").readline()
+        start = time.perf_counter()
+        server.loop.call_soon_threadsafe(server.server.request_shutdown)
+        assert idle.recv(1) == b""  # EOF while the planner is still held
+        planner.release.set()
+        server._thread.join(timeout=30)
+        elapsed = time.perf_counter() - start
+    busy.join(timeout=30)
+    assert not server._thread.is_alive()
+    assert elapsed < 5.0
+    assert box["response"]["cost"] == 1.0
+    assert server.server._connections == {}
+    assert [t for t in asyncio.all_tasks(server.loop) if not t.done()] == []
