@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
+from ..core.errors import OptimizationError
 from ..core.operators import Operator
 from ..core.plan import Node
 from .cardinality import CardinalityEstimator, EstStats
@@ -128,11 +129,13 @@ class Memo:
         self.exprs: dict[tuple[Operator, tuple[Cell, ...]], Cell] = {}
         self._cell_of: dict[Node, Cell] = {}
         #: Cell -> its option table (:meth:`~repro.optimizer.physical.
-        #: PhysicalOptimizer.cell_options`) of the ``options_k`` cheapest
-        #: trees per bucket (:meth:`want_cheapest`).  Evicted like estimates:
-        #: a cell is dirty iff its name set contains a changed operator.
+        #: PhysicalOptimizer.cell_options`) of the ``cell_width[cell]``
+        #: cheapest trees per bucket.  Evicted like estimates: a cell is
+        #: dirty iff its name set contains a changed operator.
         self.cell_options: dict[Cell, "CellTable"] = {}
-        self.options_k = 0
+        self.cell_width: dict[Cell, int] = {}
+        #: Operator name -> the one operator object it names (:meth:`explore`).
+        self._ops: dict[str, Operator] = {}
         self._op_names = op_names if op_names is not None else self._names_of
         self._names: dict[Node, frozenset[str]] = {}
         # Reverse dependency index: operator-name set -> every tree and
@@ -152,23 +155,15 @@ class Memo:
         self._register(node)
         self.table[node] = options
 
-    def store_cell(self, cell: Cell, table: "CellTable") -> None:
+    def store_cell(self, cell: Cell, table: "CellTable", k: int) -> None:
+        """Keep ``cell``'s table of the ``k`` cheapest trees per bucket: a
+        request for at most ``k`` reuses it, a wider one recomputes it."""
         self._register(cell)
         self.cell_options[cell] = table
+        self.cell_width[cell] = k
 
     def __len__(self) -> int:
         return len(self.table)
-
-    def want_cheapest(self, k: int) -> None:
-        """Make the cell tables hold (at least) the ``k`` cheapest trees.
-
-        A table of the k cheapest answers every smaller k exactly, so the
-        tables are kept at the largest k ever asked for and dropped only
-        when a larger one arrives.
-        """
-        if k > self.options_k:
-            self.cell_options.clear()
-            self.options_k = k
 
     def size(self) -> int:
         """Live invalidatable entries: per-tree options, per-cell option
@@ -179,9 +174,6 @@ class Memo:
 
     def __iter__(self) -> Iterator[Node]:
         return iter(self.table)
-
-    def __contains__(self, node: object) -> bool:
-        return node in self.table
 
     # -- logical layer: cells ----------------------------------------------
 
@@ -195,7 +187,8 @@ class Memo:
         pair.  The trees the returned cells stand for are exactly the
         closure :func:`~repro.optimizer.enumeration.iter_flows` streams.
         A memo serves one plan space: sub-flows over the same operators
-        are taken to be reorderings of each other.
+        are taken to be reorderings of each other, so a known operator
+        name arriving as a different operator object is refused.
         """
         todo: list[tuple[Expr, int, Expr]] = []
         self._intern(flow, ctx, todo)
@@ -210,6 +203,11 @@ class Memo:
     def _intern(self, tree: Node, ctx: PlanContext, todo: list) -> Cell:
         cell = self._cell_of.get(tree)
         if cell is None:
+            if self._ops.setdefault(tree.op.name, tree.op) is not tree.op:
+                raise OptimizationError(
+                    f"operator {tree.op.name!r} is not the one of that name "
+                    "this memo explored: one memo serves one plan space"
+                )
             children = tuple(self._intern(c, ctx, todo) for c in tree.children)
             cell = self._cell_of[tree] = self._add(
                 tree.op, children, tree, ctx, todo

@@ -352,11 +352,10 @@ class Optimizer:
         ):
             want = k
             while True:
-                shared_memo.want_cheapest(want)
                 cheapest: dict[Node, float] = {}
                 lost = math.inf
                 for cell in roots:
-                    table = physical_optimizer.cell_options(cell)
+                    table = physical_optimizer.cell_options(cell, want)
                     for options, left_out in table.values():
                         lost = min(lost, left_out)
                         for option in options:
@@ -368,7 +367,7 @@ class Optimizer:
                 # kept, but rounding can make it *tie* rank k: widen then.
                 if want >= expanded or lost > cheapest[order[k - 1]]:
                     break
-                want = 2 * shared_memo.options_k
+                want *= 2
             ranked = []
             for alt in self._in_eager_order(flow, shared_memo, cheapest, order, k):
                 with tracer.span("optimizer.alternative", category="optimizer"):

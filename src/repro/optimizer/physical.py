@@ -9,25 +9,24 @@ data — so that, e.g., a Match can reuse the partitioning a Reduce
 established (the Q15 discussion of Section 7.3).
 
 The search is a small Volcano-style dynamic program: each node returns
-its cheapest physical plan per partitioning property.
+its cheapest physical plan per partitioning property.  One planner per
+operator lists a node's physical variants over one combination of input
+options as flat *variant records*, ``(cost_self, ships, local,
+build_side, partitioning)`` tuples; the search ranks them on floats and
+builds a :class:`PhysNode` only for a variant it finally keeps (*lazy
+materialization*, counted by :attr:`PhysicalOptimizer.nodes_built`).
 
-The option lists are memoized per interned logical sub-plan in a
-:class:`~repro.optimizer.memo.Memo`, so one :class:`PhysicalOptimizer`
-instance can be shared across every enumerated alternative of a plan
-space: a subtree that appears in hundreds of alternatives is physically
-optimized exactly once (hash-consing makes the memo key an identity
-lookup).  The memo is a first-class subsystem: it can be passed in to be
-shared across optimizer instances and invalidated along the dirty spine
-of changed operators between feedback rounds (see
-:mod:`repro.optimizer.memo`).  Binary operators
-additionally apply an exact branch-and-bound cut: once every achievable
-output partitioning has an option, child combinations whose summed
-subtree costs cannot beat any kept option are skipped without generating
-their physical variants.
-
-Guided planning runs the same dynamic program per *cell* of equivalent
-sub-flows instead of per tree (:meth:`PhysicalOptimizer.cell_options`),
-keeping the k cheapest trees per option bucket, on the same planners.
+Options are memoized per interned logical sub-plan in a
+:class:`~repro.optimizer.memo.Memo` (an identity lookup, thanks to
+hash-consing), so a subtree shared by hundreds of alternatives is planned
+once; the memo can be shared across optimizer instances and invalidated
+along the dirty spine of changed operators.  Binary operators add an
+exact branch-and-bound cut: once every achievable output partitioning
+has an option, child combinations whose summed costs cannot beat any
+kept option are skipped before their variants are listed.  Guided
+planning runs the same planners per *cell* of equivalent sub-flows
+(:meth:`PhysicalOptimizer.cell_options`), keeping the k cheapest trees
+per option bucket in tables whose width k the memo records.
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ import math
 from dataclasses import dataclass
 from itertools import product
 from operator import attrgetter
+from typing import Callable
 
 from ..core.errors import OptimizationError
 from ..core.operators import (
@@ -63,6 +63,9 @@ RANDOM: Partitioning = frozenset()
 #: None)`` -> (options over distinct logical trees, cheapest first; the
 #: cheapest cost of an option the table leaves out, ``inf`` if none).
 CellTable = dict[tuple, tuple[tuple["PhysNode", ...], float]]
+#: One physical variant of a node, not yet built: ``(cost_self, ships,
+#: local, build_side, partitioning)``.
+Variant = tuple[float, tuple["Ship", ...], "LocalStrategy", "int | None", Partitioning]
 _cost_total = attrgetter("cost_total")
 
 
@@ -86,6 +89,8 @@ class Ship:
 _FORWARD = Ship(ShipKind.FORWARD)
 _BROADCAST = Ship(ShipKind.BROADCAST)
 _FORWARD_SHIPS = (_FORWARD,)
+#: A binary operator's ships when it broadcasts its input 0, or input 1.
+_BROADCAST_SHIPS = ((_BROADCAST, _FORWARD), (_FORWARD, _BROADCAST))
 
 
 class LocalStrategy(enum.Enum):
@@ -193,10 +198,7 @@ def _compatible(parts: Partitioning, key: frozenset[Attribute]) -> bool:
 
 class PhysicalOptimizer:
     def __init__(
-        self,
-        ctx: PlanContext,
-        estimator: CardinalityEstimator,
-        params: CostParams,
+        self, ctx: PlanContext, estimator: CardinalityEstimator, params: CostParams,
         memo: Memo | None = None,
     ) -> None:
         self.ctx = ctx
@@ -206,8 +208,12 @@ class PhysicalOptimizer:
         # plans; a caller-provided one also shares entries across
         # instances and feedback rounds (invalidation).
         self._memo = memo if memo is not None else Memo(op_names=ctx.op_names)
+        self._planners: dict[UdfOperator, Callable[..., list[Variant]]] = {}
         #: Cell option tables this instance computed (not found in the memo).
         self.tables_computed = 0
+        #: PhysNodes this instance built: one per option a table or a
+        #: per-partitioning prune keeps, none for a variant that loses.
+        self.nodes_built = 0
 
     # -- public ------------------------------------------------------------
 
@@ -218,7 +224,7 @@ class PhysicalOptimizer:
     def optimize(self, body: Node) -> PhysNode:
         return min(self._options(body), key=_cost_total)
 
-    # -- option generation -----------------------------------------------------
+    # -- tree-level options (eager planning, guided extraction) ----------------
 
     def _options(self, node: Node) -> tuple[PhysNode, ...]:
         cached = self._memo.options(node)
@@ -228,28 +234,32 @@ class PhysicalOptimizer:
         return cached
 
     def _compute_options(self, node: Node) -> tuple[PhysNode, ...]:
+        """The cheapest option per output partitioning, built as a PhysNode."""
         op = node.op
         if isinstance(op, Source):
-            return (self._source(node),)
+            est, variant = self._source(node)
+            return (self._build(node, est, variant, ()),)
+        est = self.est.estimate(node)
         if isinstance(op, Sink):
-            est = self.est.estimate(node)
             return tuple(
-                self._wrap(node, est, _FORWARD_SHIPS,
-                           LocalStrategy.COLLECT, None, (child,), 0.0,
-                           child.partitioning)
+                self._build(node, est, (0.0, _FORWARD_SHIPS, LocalStrategy.COLLECT,
+                                        None, child.partitioning), (child,))
                 for child in self._options(node.only_child)
             )
-        variants = self._planner(op, self.est.estimate(node))
+        variants = self._planner(op)
+        best: dict[Partitioning, tuple] = {}
         if op.arity == 1:
-            return self._prune(
-                option
-                for child in self._options(node.only_child)
-                for option in variants(node, child)
-            )
-        return self._binary_options(node, variants)
+            for child in self._options(node.only_child):
+                _keep_cheapest(best, child.cost_total, (child,), variants(est, child))
+        else:
+            self._binary_options(node, est, variants, best)
+        return tuple(
+            self._build(node, est, variant, children)
+            for _, variant, children in best.values()
+        )
 
-    def _binary_options(self, node: Node, variants) -> tuple[PhysNode, ...]:
-        """Enumerate child-option combinations with branch-and-bound.
+    def _binary_options(self, node: Node, est: EstStats, variants, best) -> None:
+        """Offer child-option combinations to ``best``, with branch-and-bound.
 
         ``cost_total`` of any option is at least the summed costs of its
         children, so once every *achievable* output partitioning holds an
@@ -260,22 +270,15 @@ class PhysicalOptimizer:
         lefts = self._options(node.children[0])
         rights = self._options(node.children[1])
         buckets = self._achievable_partitionings(node, lefts, rights)
-        best: dict[Partitioning, PhysNode] = {}
         threshold: float | None = None
         for left in lefts:
             for right in rights:
-                if (
-                    threshold is not None
-                    and left.cost_total + right.cost_total >= threshold
-                ):
+                below = left.cost_total + right.cost_total
+                if threshold is not None and below >= threshold:
                     continue
-                for option in variants(node, left, right):
-                    current = best.get(option.partitioning)
-                    if current is None or option.cost_total < current.cost_total:
-                        best[option.partitioning] = option
+                _keep_cheapest(best, below, (left, right), variants(est, left, right))
                 if len(best) == len(buckets):
-                    threshold = max(p.cost_total for p in best.values())
-        return tuple(best.values())
+                    threshold = max(total for total, _, _ in best.values())
 
     def _achievable_partitionings(
         self, node: Node, lefts: tuple[PhysNode, ...], rights: tuple[PhysNode, ...]
@@ -285,13 +288,8 @@ class PhysicalOptimizer:
         writes = self.ctx.props(op).writes
         out: set[Partitioning] = set()
         if isinstance(op, (MatchOp, CoGroupOp)):
-            keys = frozenset(
-                {
-                    frozenset(op.left_key_attrs()),
-                    frozenset(op.right_key_attrs()),
-                }
-            )
-            out.add(_keep_partitionings(keys, writes))
+            keys = {frozenset(op.left_key_attrs()), frozenset(op.right_key_attrs())}
+            out.add(_keep_partitionings(frozenset(keys), writes))
         if isinstance(op, (MatchOp, CrossOp)):
             # Broadcast variants preserve the probe side's partitioning.
             for side in (lefts, rights):
@@ -299,19 +297,10 @@ class PhysicalOptimizer:
                     out.add(_keep_partitionings(child.partitioning, writes))
         return frozenset(out)
 
-    def _prune(self, options) -> tuple[PhysNode, ...]:
-        """Keep the cheapest option per partitioning property (first wins)."""
-        best: dict[Partitioning, PhysNode] = {}
-        for option in options:
-            current = best.get(option.partitioning)
-            if current is None or option.cost_total < current.cost_total:
-                best[option.partitioning] = option
-        return tuple(best.values())
-
     # -- cell-level option tables (guided planning) ----------------------------
 
-    def cell_options(self, cell: Cell) -> CellTable:
-        """The option table of one equivalence cell, computed once.
+    def cell_options(self, cell: Cell, k: int) -> CellTable:
+        """The option table of one equivalence cell, at least ``k`` wide.
 
         Options are bucketed by everything an enclosing operator's
         estimate and cost can observe about its input: the partitioning,
@@ -319,28 +308,28 @@ class PhysicalOptimizer:
         observation to the option's logical tree — the tree itself (width
         follows from the cell's attribute set).  Within a bucket options
         differ only in their logical tree and ``cost_total``, so the ``k``
-        (``memo.options_k``) cheapest distinct trees, plus everything
-        tying the k-th, are all an enclosing top-``k`` plan can use —
-        up to rounding: a dearer option can *tie* a kept one once the
-        enclosing costs are added, so each bucket also carries the
-        cheapest cost it left out, rounded upwards sum by sum.
-        Every option is a concrete :class:`PhysNode` over a concrete
-        interned tree, costed by the same planners as :meth:`_options`,
-        so its cost is the float the tree-level search computes for it.
+        cheapest distinct trees, plus everything tying the k-th, are all
+        an enclosing top-``k`` plan can use — up to rounding: a dearer
+        option can *tie* a kept one once the enclosing costs are added,
+        so each bucket also carries the cheapest cost it left out,
+        rounded upwards sum by sum.  A memo table at least ``k`` wide
+        answers k exactly and is reused; a narrower one is recomputed.
+        Options are costed by the same planners as :meth:`_options`, so
+        each cost is the float the tree-level search computes.
         """
-        table = self._memo.cell_options.get(cell)
-        if table is None:
-            table = self._compute_cell(cell, self._memo.options_k)
-            self._memo.store_cell(cell, table)
+        memo = self._memo
+        table = memo.cell_options.get(cell)
+        if table is None or memo.cell_width[cell] < k:
+            table = self._compute_cell(cell, k)
+            memo.store_cell(cell, table, k)
             self.tables_computed += 1
         return table
 
     def _compute_cell(self, cell: Cell, k: int) -> CellTable:
         found: dict[tuple, _Bucket] = {}
-        planners = {}
 
-        def bucket_of(option: PhysNode, pin: Node | None) -> _Bucket:
-            key = (option.partitioning, option.est.rows, pin)
+        def bucket_of(partitioning: Partitioning, rows: float, pin) -> _Bucket:
+            key = (partitioning, rows, pin)
             bucket = found.get(key)
             if bucket is None:
                 bucket = found[key] = _Bucket(k)
@@ -349,85 +338,84 @@ class PhysicalOptimizer:
         for expr in cell.exprs:
             op = expr.op
             if isinstance(op, Source):
-                option = self._source(expr.rep)
-                bucket_of(option, expr.rep).add(option)
+                est, variant = self._source(expr.rep)
+                bucket_of(variant[4], est.rows, expr.rep).add(
+                    expr.rep, variant[0], variant, est, ())
                 continue
             if not isinstance(op, UdfOperator):
                 raise OptimizationError(f"cannot plan {op!r}")
-            tables = [self.cell_options(child) for child in expr.children]
-            for inputs in product(*(table.items() for table in tables)):
+            variants = self._planner(op)
+            # Per input bucket: its options, left-out cost, head (option,
+            # tree and cost) and whether it is unpinned.
+            tables = [
+                [(kept, lost, kept[0], kept[0].logical, kept[0].cost_total,
+                  key[2] is None)
+                 for key, (kept, lost) in self.cell_options(child, k).items()]
+                for child in expr.children
+            ]
+            for inputs in product(*tables):
                 # Every option of one input bucket presents the same rows,
-                # bytes and partitioning, so the estimate and each
-                # variant's strategy, own cost and output partitioning are
-                # those planned for the bucket heads; other picks differ
-                # in their children's summed cost only.  That takes
-                # observations to be subtree-closed: a tree over an
+                # bytes and partitioning, so the estimate and the variant
+                # records are those planned for the bucket heads; other
+                # picks differ in their children's summed cost only.  That
+                # takes observations to be subtree-closed: a tree over an
                 # unpinned input is unpinned, a pinned bucket one tree.
-                options, losts = zip(*(kept for _, kept in inputs))
-                heads = tuple(kept[0] for kept in options)
-                head = Node(op, tuple(o.logical for o in heads))
+                options, losts, heads, trees, costs, unpinned = zip(*inputs)
+                head = Node(op, trees)
                 est = self.est.estimate(head)
                 pinned = self.est.observed(head)
-                if pinned and any(key[2] is None for key, _ in inputs):
+                if pinned and any(unpinned):
                     raise OptimizationError(
                         f"{op.name}: observed over an unobserved input — "
                         "the statistics store is not subtree-closed"
                     )
-                planner = planners.get((op, est))
-                if planner is None:
-                    planner = planners[op, est] = self._planner(op, est)
+                pin = head if pinned else None
                 planned = [
-                    (variant, bucket_of(variant, head if pinned else None))
-                    for variant in planner(head, *heads)
+                    (variant, bucket_of(variant[4], est.rows, pin))
+                    for variant in variants(est, *heads)
                 ]
                 picked, lost = _cheapest_combinations(options, losts, k)
+                below = sum(costs)  # as _build adds the children up
                 for variant, bucket in planned:
-                    bucket.add(variant)
-                    bucket.lost = min(bucket.lost, variant.cost_self + lost)
+                    bucket.add(head, variant[0] + below, variant, est, heads)
+                    bucket.lost = min(bucket.lost, variant[0] + lost)
                 for below, picks in picked:
-                    node = None
+                    tree = None
                     for variant, bucket in planned:
-                        if not bucket.admits(variant.cost_self + below):
+                        total = variant[0] + below
+                        if not bucket.admits(total):
                             continue
-                        if node is None:
-                            node = Node(op, tuple(o.logical for o in picks))
-                        bucket.add(
-                            self._wrap(
-                                node, est, variant.ships, variant.local,
-                                variant.build_side, picks, variant.cost_self,
-                                variant.partitioning,
-                            )
-                        )
-        return {key: (b.options(), b.lost) for key, b in found.items()}
+                        if tree is None:
+                            tree = Node(op, tuple(o.logical for o in picks))
+                        bucket.add(tree, total, variant, est, picks)
+        return {
+            key: (bucket.options(self._build), bucket.lost)
+            for key, bucket in found.items()
+        }
 
     # -- helpers --------------------------------------------------------------
 
-    def _wrap(
-        self,
-        node: Node,
-        est: EstStats,
-        ships: tuple[Ship, ...],
-        local: LocalStrategy,
-        build_side: int | None,
-        children: tuple[PhysNode, ...],
-        cost_self: float,
-        partitioning: Partitioning,
+    def _build(
+        self, node: Node, est: EstStats, variant: Variant, children: tuple[PhysNode, ...]
     ) -> PhysNode:
+        """Materialize one kept variant over ``children``."""
+        self.nodes_built += 1
+        cost_self, ships, local, build_side, partitioning = variant
         total = cost_self + sum(c.cost_total for c in children)
-        return PhysNode(
-            node, ships, local, build_side, children, est, cost_self, total,
-            partitioning,
-        )
+        return PhysNode(node, ships, local, build_side, children, est, cost_self,
+                        total, partitioning)
 
-    def _udf_cpu(self, op: UdfOperator, est: EstStats) -> float:
-        hint = self.est.hints_for(op.name)
+    def _udf_cpu(self, op: UdfOperator) -> Callable[[EstStats], float]:
+        """``est ->`` the CPU seconds of ``op``'s UDF calls and records."""
+        cpu_per_call = self.est.hints_for(op.name).cpu_per_call
         params = self.params
-        units = est.calls * hint.cpu_per_call + est.rows * params.record_overhead
-        return params.cpu_seconds(units)
+        return lambda est: params.cpu_seconds(
+            est.calls * cpu_per_call + est.rows * params.record_overhead
+        )
 
     # -- per-operator planning ---------------------------------------------------
 
-    def _source(self, node: Node) -> PhysNode:
+    def _source(self, node: Node) -> tuple[EstStats, Variant]:
         est = self.est.estimate(node)
         op = node.op
         if isinstance(op, MaterializedSource):
@@ -435,216 +423,221 @@ class PhysicalOptimizer:
             # checkpoint whose production was charged when the stage ran,
             # so re-reading it is free, and it arrives already hash-
             # partitioned however the executed plan left it.
-            return self._wrap(
-                node, est, (), LocalStrategy.SCAN, None, (), 0.0,
-                op.partitioning,
-            )
+            return est, (0.0, (), LocalStrategy.SCAN, None, op.partitioning)
         cost = self.params.disk_seconds(est.bytes)
-        return self._wrap(
-            node, est, (), LocalStrategy.SCAN, None, (), cost, RANDOM
-        )
+        return est, (cost, (), LocalStrategy.SCAN, None, RANDOM)
 
-    def _planner(self, op: UdfOperator, est: EstStats):
-        """The operator's physical variants with per-operator terms hoisted.
+    def _planner(self, op: UdfOperator) -> Callable[..., list[Variant]]:
+        """The operator's ``variants(est, *inputs)``, made once per operator.
 
-        ``est`` is the estimate of the logical node(s) to plan; the
-        returned ``variants(node, *child_options)`` lists that node's
-        physical alternatives over one combination of child options.
-        Nothing in it reads the node beyond recording it as ``logical``,
-        so one planner serves every tree of a cell that presents the same
-        estimate.
+        ``variants`` lists the variant records of a node estimated ``est``
+        over one combination of input options.  It reads of an input only
+        its partitioning and estimate, so one call serves every tree of a
+        cell over the same bucket heads, and whatever it derives from one
+        input alone is derived once per input option (:func:`_per_input`).
         """
-        if isinstance(op, MapOp):
-            return self._map_planner(op, est)
-        if isinstance(op, ReduceOp):
-            return self._reduce_planner(op, est)
-        if isinstance(op, MatchOp):
-            return self._match_planner(op, est)
-        if isinstance(op, CrossOp):
-            return self._cross_planner(op, est)
-        if isinstance(op, CoGroupOp):
-            return self._cogroup_planner(op, est)
+        planner = self._planners.get(op)
+        if planner is not None:
+            return planner
+        for kind, make in (
+            (MapOp, self._map_planner), (ReduceOp, self._reduce_planner),
+            (MatchOp, self._match_planner), (CrossOp, self._cross_planner),
+            (CoGroupOp, self._cogroup_planner),
+        ):
+            if isinstance(op, kind):
+                planner = self._planners[op] = make(op)
+                return planner
         raise OptimizationError(f"cannot plan {op!r}")  # pragma: no cover
 
-    def _map_planner(self, op: MapOp, est: EstStats):
+    def _map_planner(self, op: MapOp):
         writes = self.ctx.props(op).writes
-        cost = self._udf_cpu(op, est)
+        udf_cpu = self._udf_cpu(op)
+        kept = _per_input(lambda child: _keep_partitionings(child.partitioning, writes))
 
-        def variants(node: Node, child: PhysNode) -> list[PhysNode]:
-            parts = _keep_partitionings(child.partitioning, writes)
-            return [
-                self._wrap(node, est, _FORWARD_SHIPS, LocalStrategy.PIPELINE,
-                           None, (child,), cost, parts)
-            ]
+        def variants(est: EstStats, child: PhysNode) -> list[Variant]:
+            return [(udf_cpu(est), _FORWARD_SHIPS, LocalStrategy.PIPELINE, None, kept(child))]
 
         return variants
 
-    def _reduce_planner(self, op: ReduceOp, est: EstStats):
+    def _reduce_planner(self, op: ReduceOp):
         params = self.params
         key = op.key_attrs()
-        key_tuple = op.key_attr_tuple()
-        udf_cost = self._udf_cpu(op, est)
+        partition = Ship(ShipKind.PARTITION, op.key_attr_tuple())
+        udf_cpu = self._udf_cpu(op)
         parts = frozenset({key})
 
-        def variants(node: Node, child: PhysNode) -> list[PhysNode]:
-            in_est = child.est
-            cost = 0.0
-            ship = _FORWARD
-            if not _compatible(child.partitioning, key):
-                ship = Ship(ShipKind.PARTITION, key_tuple)
-                cost += params.net_seconds(params.partition_bytes(in_est.bytes))
-            cost += params.cpu_seconds(params.sort_units(in_est.rows))
-            cost += params.disk_seconds(params.spill_bytes(in_est.bytes))
-            cost += udf_cost
-            return [
-                self._wrap(node, est, (ship,), LocalStrategy.SORT_GROUP,
-                           None, (child,), cost, parts)
-            ]
+        @_per_input
+        def grouped(child: PhysNode) -> tuple[tuple[Ship], float]:
+            ship, cost = _ship_to(child, key, partition, params)
+            cost = 0.0 + cost + params.cpu_seconds(params.sort_units(child.est.rows))
+            cost += params.disk_seconds(params.spill_bytes(child.est.bytes))
+            return (ship,), cost
+
+        def variants(est: EstStats, child: PhysNode) -> list[Variant]:
+            ships, cost = grouped(child)
+            return [(cost + udf_cpu(est), ships, LocalStrategy.SORT_GROUP, None, parts)]
 
         return variants
 
-    def _match_planner(self, op: MatchOp, est: EstStats):
+    def _match_planner(self, op: MatchOp):
         params = self.params
         writes = self.ctx.props(op).writes
-        lkey_tuple = op.left_key_attrs()
-        rkey_tuple = op.right_key_attrs()
-        lkey = frozenset(lkey_tuple)
-        rkey = frozenset(rkey_tuple)
-        udf_cost = self._udf_cpu(op, est)
+        udf_cpu = self._udf_cpu(op)
+        lkey_tuple, rkey_tuple = op.left_key_attrs(), op.right_key_attrs()
         # After a partitioned join only the join keys are valid partitioning
         # properties: prior partitionings were destroyed by the shuffle.
-        repart_parts = _keep_partitionings(frozenset({lkey, rkey}), writes)
+        repart_parts = _keep_partitionings(
+            frozenset({frozenset(lkey_tuple), frozenset(rkey_tuple)}), writes
+        )
 
-        def variants(node: Node, left: PhysNode, right: PhysNode) -> list[PhysNode]:
-            out: list[PhysNode] = []
+        def side(key_tuple: tuple[Attribute, ...]):
+            key, partition = frozenset(key_tuple), Ship(ShipKind.PARTITION, key_tuple)
 
+            @_per_input
+            def terms(child: PhysNode) -> tuple:
+                rows, nbytes = child.est.rows, child.est.bytes
+                build, probe = rows * params.build_unit, rows * params.probe_unit
+                return (
+                    *_ship_to(child, key, partition, params), nbytes, build, probe,
+                    params.disk_seconds(params.spill_bytes(nbytes)),  # hash-join build
+                    # broadcast, build on every instance; or forward and probe
+                    params.net_seconds(params.broadcast_bytes(nbytes))
+                    + params.cpu_seconds_single(build),
+                    params.disk_seconds(params.spill_bytes(nbytes * params.degree)),
+                    params.cpu_seconds(probe),
+                    _keep_partitionings(child.partitioning, writes),
+                )
+
+            return terms
+
+        lterms, rterms = side(lkey_tuple), side(rkey_tuple)
+
+        def variants(est: EstStats, left: PhysNode, right: PhysNode) -> list[Variant]:
+            (lship, lshuffle, lbytes, lbuild, lprobe, lspill,
+             lbcast, lbcast_spill, lprobe_cpu, lparts) = lterms(left)
+            (rship, rshuffle, rbytes, rbuild, rprobe, rspill,
+             rbcast, rbcast_spill, rprobe_cpu, rparts) = rterms(right)
+            udf_cost = udf_cpu(est)
             # (a) repartition both sides, hash join (build on the smaller side)
-            cost = 0.0
-            ships: list[Ship] = []
-            for child, key, key_tuple in (
-                (left, lkey, lkey_tuple),
-                (right, rkey, rkey_tuple),
-            ):
-                if _compatible(child.partitioning, key):
-                    ships.append(_FORWARD)
-                else:
-                    ships.append(Ship(ShipKind.PARTITION, key_tuple))
-                    cost += params.net_seconds(
-                        params.partition_bytes(child.est.bytes)
-                    )
-            build = 0 if left.est.bytes <= right.est.bytes else 1
-            probe = 1 - build
-            sides = (left, right)
-            cost += params.cpu_seconds(
-                sides[build].est.rows * params.build_unit
-                + sides[probe].est.rows * params.probe_unit
-            )
-            cost += params.disk_seconds(params.spill_bytes(sides[build].est.bytes))
-            cost += udf_cost
-            out.append(
-                self._wrap(node, est, tuple(ships), LocalStrategy.HASH_JOIN,
-                           build, (left, right), cost, repart_parts)
-            )
-
+            if lbytes <= rbytes:
+                build, units, spill = 0, lbuild + rprobe, lspill
+            else:
+                build, units, spill = 1, rbuild + lprobe, rspill
+            cost = 0.0 + lshuffle + rshuffle + params.cpu_seconds(units)
             # (b)/(c) broadcast one side, forward the other, build on broadcast
-            for build_side in (0, 1):
-                build_child = sides[build_side]
-                probe_child = sides[1 - build_side]
-                cost = params.net_seconds(
-                    params.broadcast_bytes(build_child.est.bytes)
-                )
-                cost += params.cpu_seconds_single(
-                    build_child.est.rows * params.build_unit
-                )
-                cost += params.cpu_seconds(probe_child.est.rows * params.probe_unit)
-                cost += params.disk_seconds(
-                    params.spill_bytes(build_child.est.bytes * params.degree)
-                )
-                cost += udf_cost
-                ships = [_FORWARD, _FORWARD]
-                ships[build_side] = _BROADCAST
-                parts = _keep_partitionings(probe_child.partitioning, writes)
-                out.append(
-                    self._wrap(node, est, tuple(ships), LocalStrategy.HASH_JOIN,
-                               build_side, (left, right), cost, parts)
-                )
-            return out
-
-        return variants
-
-    def _cross_planner(self, op: CrossOp, est: EstStats):
-        params = self.params
-        writes = self.ctx.props(op).writes
-        pairs = est.calls
-        udf_cost = self._udf_cpu(op, est)
-        pair_cost = params.cpu_seconds(pairs * params.cross_unit)
-
-        def variants(node: Node, left: PhysNode, right: PhysNode) -> list[PhysNode]:
-            out: list[PhysNode] = []
-            sides = (left, right)
-            for build_side in (0, 1):
-                build_child = sides[build_side]
-                probe_child = sides[1 - build_side]
-                cost = params.net_seconds(
-                    params.broadcast_bytes(build_child.est.bytes)
-                )
-                cost += pair_cost
-                cost += udf_cost
-                ships = [_FORWARD, _FORWARD]
-                ships[build_side] = _BROADCAST
-                parts = _keep_partitionings(probe_child.partitioning, writes)
-                out.append(
-                    self._wrap(node, est, tuple(ships), LocalStrategy.NESTED_LOOP,
-                               build_side, (left, right), cost, parts)
-                )
-            return out
-
-        return variants
-
-    def _cogroup_planner(self, op: CoGroupOp, est: EstStats):
-        params = self.params
-        writes = self.ctx.props(op).writes
-        lkey_tuple = op.left_key_attrs()
-        rkey_tuple = op.right_key_attrs()
-        lkey = frozenset(lkey_tuple)
-        rkey = frozenset(rkey_tuple)
-        udf_cost = self._udf_cpu(op, est)
-        parts = _keep_partitionings(frozenset({lkey, rkey}), writes)
-
-        def variants(node: Node, left: PhysNode, right: PhysNode) -> list[PhysNode]:
-            cost = 0.0
-            ships = []
-            for child, key, key_tuple in (
-                (left, lkey, lkey_tuple),
-                (right, rkey, rkey_tuple),
-            ):
-                if _compatible(child.partitioning, key):
-                    ships.append(_FORWARD)
-                else:
-                    ships.append(Ship(ShipKind.PARTITION, key_tuple))
-                    cost += params.net_seconds(
-                        params.partition_bytes(child.est.bytes)
-                    )
-                cost += params.cpu_seconds(params.sort_units(child.est.rows))
-                cost += params.disk_seconds(params.spill_bytes(child.est.bytes))
-            cost += udf_cost
             return [
-                self._wrap(node, est, tuple(ships), LocalStrategy.SORT_COGROUP,
-                           None, (left, right), cost, parts)
+                (cost + spill + udf_cost, (lship, rship), LocalStrategy.HASH_JOIN,
+                 build, repart_parts),
+                (lbcast + rprobe_cpu + lbcast_spill + udf_cost, _BROADCAST_SHIPS[0],
+                 LocalStrategy.HASH_JOIN, 0, rparts),
+                (rbcast + lprobe_cpu + rbcast_spill + udf_cost, _BROADCAST_SHIPS[1],
+                 LocalStrategy.HASH_JOIN, 1, lparts),
             ]
 
         return variants
+
+    def _cross_planner(self, op: CrossOp):
+        params = self.params
+        writes = self.ctx.props(op).writes
+        udf_cpu = self._udf_cpu(op)
+
+        @_per_input
+        def terms(child: PhysNode) -> tuple[float, Partitioning]:
+            return (
+                params.net_seconds(params.broadcast_bytes(child.est.bytes)),
+                _keep_partitionings(child.partitioning, writes),
+            )
+
+        def variants(est: EstStats, left: PhysNode, right: PhysNode) -> list[Variant]:
+            pair_cost = params.cpu_seconds(est.calls * params.cross_unit)
+            udf_cost = udf_cpu(est)
+            (lbcast, lparts), (rbcast, rparts) = terms(left), terms(right)
+            return [
+                (lbcast + pair_cost + udf_cost, _BROADCAST_SHIPS[0],
+                 LocalStrategy.NESTED_LOOP, 0, rparts),
+                (rbcast + pair_cost + udf_cost, _BROADCAST_SHIPS[1],
+                 LocalStrategy.NESTED_LOOP, 1, lparts),
+            ]
+
+        return variants
+
+    def _cogroup_planner(self, op: CoGroupOp):
+        params = self.params
+        writes = self.ctx.props(op).writes
+        udf_cpu = self._udf_cpu(op)
+        lkey_tuple, rkey_tuple = op.left_key_attrs(), op.right_key_attrs()
+        parts = _keep_partitionings(
+            frozenset({frozenset(lkey_tuple), frozenset(rkey_tuple)}), writes
+        )
+
+        def side(key_tuple: tuple[Attribute, ...]):
+            key, partition = frozenset(key_tuple), Ship(ShipKind.PARTITION, key_tuple)
+            return _per_input(lambda child: (
+                *_ship_to(child, key, partition, params),
+                params.cpu_seconds(params.sort_units(child.est.rows)),
+                params.disk_seconds(params.spill_bytes(child.est.bytes)),
+            ))
+
+        lterms, rterms = side(lkey_tuple), side(rkey_tuple)
+
+        def variants(est: EstStats, left: PhysNode, right: PhysNode) -> list[Variant]:
+            lship, lshuffle, lsort, lspill = lterms(left)
+            rship, rshuffle, rsort, rspill = rterms(right)
+            cost = 0.0 + lshuffle + lsort + lspill + rshuffle + rsort + rspill
+            cost += udf_cpu(est)
+            return [(cost, (lship, rship), LocalStrategy.SORT_COGROUP, None, parts)]
+
+        return variants
+
+
+def _per_input(terms: Callable[[PhysNode], object]) -> Callable[[PhysNode], object]:
+    """``terms`` memoized on its one argument, an input option (identity)."""
+    cache: dict[PhysNode, object] = {}
+
+    def cached(child: PhysNode):
+        got = cache.get(child)
+        if got is None:
+            got = cache[child] = terms(child)
+        return got
+
+    return cached
+
+
+def _ship_to(
+    child: PhysNode, key: frozenset[Attribute], partition: Ship, params: CostParams
+) -> tuple[Ship, float]:
+    """Forward an input already partitioned compatibly with ``key``, else
+    repartition it: the ship and its network cost."""
+    if _compatible(child.partitioning, key):
+        return _FORWARD, 0.0
+    return partition, params.net_seconds(params.partition_bytes(child.est.bytes))
+
+
+def _keep_cheapest(
+    best: dict[Partitioning, tuple], below: float, children: tuple, variants: list
+) -> None:
+    """Offer ``variants`` over ``children`` (summed cost ``below``) to
+    ``best``: the cheapest ``(cost_total, variant, children)`` per output
+    partitioning, replaced strictly, so the first offered wins a tie."""
+    for variant in variants:
+        total = variant[0] + below
+        current = best.get(variant[4])
+        if current is None or total < current[0]:
+            best[variant[4]] = (total, variant, children)
 
 
 class _Bucket:
     """The ``k`` cheapest options over distinct logical trees, plus every
-    option tying the k-th, of those offered so far."""
+    option tying the k-th, of those offered so far — as variant records,
+    built into PhysNodes only by the final :meth:`options`."""
 
     __slots__ = ("k", "best", "cut", "limit", "lost")
 
     def __init__(self, k: int) -> None:
         self.k = k
-        self.best: dict[Node, PhysNode] = {}
+        #: id(tree) -> its cheapest offer ``(cost_total, tree, variant, est,
+        #: children)``.
+        self.best: dict[int, tuple] = {}
         #: The k-th cheapest cost at the last trim: a dearer offer is lost.
         self.cut = math.inf
         self.limit = 2 * k
@@ -655,28 +648,37 @@ class _Bucket:
     def admits(self, cost_total: float) -> bool:
         """Could an option of this cost still be among the k cheapest?"""
         if len(self.best) >= self.limit:
-            self.options()
+            self._trim()
         if cost_total > self.cut:
             self.lost = min(self.lost, cost_total)
         return cost_total <= self.cut
 
-    def add(self, option: PhysNode) -> None:
-        current = self.best.get(option.logical)
-        if current is None or option.cost_total < current.cost_total:
-            self.best[option.logical] = option
+    def add(self, tree: Node, cost_total: float, variant: Variant, est, children) -> None:
+        # Keyed by id (the entry keeps the tree alive): Node.__hash__ is a
+        # Python-level call, and this is the innermost loop of planning.
+        current = self.best.get(id(tree))
+        if current is None or cost_total < current[0]:
+            self.best[id(tree)] = (cost_total, tree, variant, est, children)
 
-    def options(self) -> tuple[PhysNode, ...]:
+    def _trim(self) -> None:
         """Trim to the k cheapest and ties (stable: first offered first)."""
-        kept = sorted(self.best.values(), key=_cost_total)
+        kept = sorted(self.best.items(), key=lambda item: item[1][0])
         if len(kept) >= self.k:
-            self.cut = kept[self.k - 1].cost_total
-            dropped = [o for o in kept if o.cost_total > self.cut]
+            self.cut = kept[self.k - 1][1][0]
+            dropped = [offer[0] for _, offer in kept if offer[0] > self.cut]
             if dropped:
-                self.lost = min(self.lost, dropped[0].cost_total)
+                self.lost = min(self.lost, dropped[0])
                 del kept[-len(dropped):]
-        self.best = {o.logical: o for o in kept}
+        self.best = dict(kept)
         self.limit = 2 * max(self.k, len(kept))
-        return tuple(kept)
+
+    def options(self, build) -> tuple[PhysNode, ...]:
+        """The kept options, cheapest first, each built by ``build`` now."""
+        self._trim()
+        return tuple(
+            build(tree, est, variant, children)
+            for _, tree, variant, est, children in self.best.values()
+        )
 
 
 def _cheapest_combinations(
@@ -684,7 +686,7 @@ def _cheapest_combinations(
 ) -> tuple[list[tuple[float, tuple[PhysNode, ...]]], float]:
     """Child-option combinations beyond the bucket heads that can yield a
     k-cheapest parent, each with its summed child cost (added up as
-    ``_wrap`` adds it), and the smallest such sum among the combinations
+    ``_build`` adds it), and the smallest such sum among the combinations
     left out: those cut here and those over an option an input bucket
     left out (``losts``).
 

@@ -222,7 +222,8 @@ def test_tree_tying_only_after_rounding_is_not_lost(k):
     assert_prefix_identical(guided, eager, k)
     # One tree per bucket cannot see the tie: the tables' left-out cost
     # reaches rank 1 and the search widens them; from k = 2 both are kept.
-    assert memo.options_k == max(k, 2)
+    roots = memo.explore(plan_body(workload.plan), guided_opt.ctx)
+    assert {memo.cell_width[cell] for cell in roots} == {max(k, 2)}
 
 
 @pytest.mark.parametrize("seed", [5, 7])
