@@ -464,7 +464,7 @@ class PhysicalOptimizer:
         key = op.key_attrs()
         partition = Ship(ShipKind.PARTITION, op.key_attr_tuple())
         udf_cpu = self._udf_cpu(op)
-        parts = frozenset({key})
+        parts = _keep_partitionings(frozenset({key}), self.ctx.props(op).writes)
 
         @_per_input
         def grouped(child: PhysNode) -> tuple[tuple[Ship], float]:

@@ -86,6 +86,32 @@ class TestCorrectness:
         result = execute_physical(phys, data, CostParams(degree=degree))
         assert datasets_equal(result.records, evaluate(flow, data))
 
+    @pytest.mark.parametrize("degree", [1, 4])
+    def test_reduce_writing_its_key_claims_no_partitioning(self, degree):
+        """A Reduce whose UDF rewrites its key leaves the data partitioned
+        on the old values: a Reduce above on the same key must shuffle.
+        Forwarding instead returned 4 rows against 2 at degree 4."""
+
+        def parity(records, out):
+            o = records[0].copy()
+            o.set_field(0, records[0].get_field(0) % 2)
+            out.emit(o)
+
+        catalog = Catalog()
+        catalog.add_source("L", SourceStats(8, distinct={L[0]: 8}))
+        ctx = PlanContext(catalog, AnnotationMode.SCA)
+        flow = chain(
+            Source("L", L),
+            ReduceOp("parity", reduce_udf(parity), FieldMap(L), (0,)),
+            ReduceOp("sum", reduce_udf(sum_reduce), FieldMap(L), (0,)),
+        )
+        data = {"L": [{L[0]: k, L[1]: 1} for k in range(8)]}
+        phys = physical_for(flow, ctx, degree)
+        assert phys.ships == (Ship(ShipKind.PARTITION, (L[0],)),)
+        result = execute_physical(phys, data, CostParams(degree=degree))
+        assert datasets_equal(result.records, evaluate(flow, data))
+        assert len(result.records) == 2
+
     def test_match_repartition_matches_oracle(self):
         ctx, data = build_env()
         flow = node(
