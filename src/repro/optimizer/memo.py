@@ -9,6 +9,10 @@ and neighbor lists.  Hint-dependent: the per-cell option tables,
 the per-tree options table, and the cardinality estimator's per-node
 cache (bound into the estimator via :meth:`Memo.bind`).
 
+**Interesting partitionings.**  The memo holds the key sets of every
+keyed operator it serves (:meth:`Memo.admit`); options keep only what an
+operator outside their sub-flow could reuse (:meth:`Memo.interesting`).
+
 **Dirty-spine invalidation.**  A reverse dependency index maps an
 operator name to the entries — trees and cells — whose sub-flow contains
 that operator.  When the hints, observations or source statistics of some
@@ -27,7 +31,7 @@ import math
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from ..core.errors import OptimizationError
-from ..core.operators import Operator
+from ..core.operators import CoGroupOp, MatchOp, Operator, ReduceOp
 from ..core.plan import Node
 from .cardinality import CardinalityEstimator, EstStats
 from .context import PlanContext
@@ -71,6 +75,16 @@ class Cell:
         self.rep = rep
         self.exprs: list[Expr] = []
         self.parents: list[tuple[Expr, int]] = []
+
+
+class _Interesting(dict):
+    """One sub-flow's partitioning -> its interesting part, on demand."""
+
+    __slots__ = ("keys",)
+
+    def __missing__(self, parts: frozenset) -> frozenset:
+        got = self[parts] = frozenset(p for p in parts if any(p <= k for k in self.keys))
+        return got
 
 
 class _RegisteringDict(dict):
@@ -136,6 +150,10 @@ class Memo:
         self.cell_width: dict[Cell, int] = {}
         #: Operator name -> the one operator object it names (:meth:`explore`).
         self._ops: dict[str, Operator] = {}
+        #: Keyed operator name -> its key sets (a Reduce key, a Match or
+        #: CoGroup left and right key), over every operator admitted.
+        self.keys: dict[str, frozenset[frozenset]] = {}
+        self._interesting: dict[frozenset[str], _Interesting] = {}
         self._op_names = op_names if op_names is not None else self._names_of
         self._names: dict[Node, frozenset[str]] = {}
         # Reverse dependency index: operator-name set -> every tree and
@@ -165,15 +183,49 @@ class Memo:
     def __len__(self) -> int:
         return len(self.table)
 
+    def __iter__(self) -> Iterator[Node]:
+        return iter(self.table)
+
+    def admit(self, flow: Node) -> None:
+        """Learn the keys of ``flow``'s operators (down to trees the memo
+        holds).  A new keyed operator drops every option table: they were
+        bucketed without its keys, so may lack a partitioning it reuses."""
+        todo = [flow]
+        while todo:
+            node = todo.pop()
+            if node not in self.table and node not in self._cell_of:
+                self._learn(node.op)
+                todo.extend(node.children)
+
+    def _learn(self, op: Operator) -> None:
+        if isinstance(op, ReduceOp):
+            sides = (op.key_attrs(),)
+        elif isinstance(op, (MatchOp, CoGroupOp)):
+            sides = (op.left_key_attrs(), op.right_key_attrs())
+        else:
+            return
+        keys, known = frozenset(map(frozenset, sides)), self.keys.get(op.name, frozenset())
+        if not keys <= known:
+            self.keys[op.name] = known | keys
+            for table in (self._interesting, self.table, self.cell_options, self.cell_width):
+                table.clear()
+
+    def interesting(self, names: frozenset[str]) -> "_Interesting":
+        """Partitioning -> its components ``p <= K`` for a key set ``K`` of an
+        operator outside the sub-flow over ``names``: any other fails
+        ``_compatible`` for every operator above, so dropping it is exact."""
+        got = self._interesting.get(names)
+        if got is None:
+            got = self._interesting[names] = _Interesting()
+            got.keys = [k for name, keys in self.keys.items() if name not in names for k in keys]
+        return got
+
     def size(self) -> int:
         """Live invalidatable entries: per-tree options, per-cell option
         tables, estimates — the planning server's figure for a tenant's
         warm-state footprint (the hint-independent structure beside them
         is shared and comparatively small)."""
         return len(self.table) + len(self.cell_options) + len(self.est_cache)
-
-    def __iter__(self) -> Iterator[Node]:
-        return iter(self.table)
 
     # -- logical layer: cells ----------------------------------------------
 
@@ -191,6 +243,7 @@ class Memo:
         name arriving as a different operator object is refused.
         """
         todo: list[tuple[Expr, int, Expr]] = []
+        self.admit(flow)  # every tree of the class has the flow's operators
         self._intern(flow, ctx, todo)
         while todo:
             parent, side, child = todo.pop()

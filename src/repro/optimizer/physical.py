@@ -6,10 +6,11 @@ broadcast) and a *local strategy* (pipelined map, sort-based grouping,
 hash join with a build side, nested-loop cross, sort-based co-group),
 tracking *interesting properties* — here, the hash-partitioning of the
 data — so that, e.g., a Match can reuse the partitioning a Reduce
-established (the Q15 discussion of Section 7.3).
+established (the Q15 discussion of Section 7.3).  Only components an
+operator outside the sub-flow could reuse are kept (:meth:`Memo.interesting`).
 
 The search is a small Volcano-style dynamic program: each node returns
-its cheapest physical plan per partitioning property.  One planner per
+its cheapest physical plan per interesting partitioning.  One planner per
 operator lists a node's physical variants over one combination of input
 options as flat *variant records*, ``(cost_self, ships, local,
 build_side, partitioning)`` tuples; the search ranks them on floats and
@@ -222,6 +223,7 @@ class PhysicalOptimizer:
         return self._memo
 
     def optimize(self, body: Node) -> PhysNode:
+        self._memo.admit(body)
         return min(self._options(body), key=_cost_total)
 
     # -- tree-level options (eager planning, guided extraction) ----------------
@@ -236,29 +238,30 @@ class PhysicalOptimizer:
     def _compute_options(self, node: Node) -> tuple[PhysNode, ...]:
         """The cheapest option per output partitioning, built as a PhysNode."""
         op = node.op
+        interesting = self._memo.interesting(self.ctx.op_names(node))
         if isinstance(op, Source):
             est, variant = self._source(node)
-            return (self._build(node, est, variant, ()),)
+            return (self._build(node, est, variant, (), interesting),)
         est = self.est.estimate(node)
         if isinstance(op, Sink):
             return tuple(
                 self._build(node, est, (0.0, _FORWARD_SHIPS, LocalStrategy.COLLECT,
-                                        None, child.partitioning), (child,))
+                                        None, child.partitioning), (child,), interesting)
                 for child in self._options(node.only_child)
             )
         variants = self._planner(op)
         best: dict[Partitioning, tuple] = {}
         if op.arity == 1:
-            for child in self._options(node.only_child):
-                _keep_cheapest(best, child.cost_total, (child,), variants(est, child))
+            for c in self._options(node.only_child):
+                _keep_cheapest(best, interesting, c.cost_total, (c,), variants(est, c))
         else:
-            self._binary_options(node, est, variants, best)
+            self._binary_options(node, est, variants, best, interesting)
         return tuple(
-            self._build(node, est, variant, children)
+            self._build(node, est, variant, children, interesting)
             for _, variant, children in best.values()
         )
 
-    def _binary_options(self, node: Node, est: EstStats, variants, best) -> None:
+    def _binary_options(self, node: Node, est: EstStats, variants, best, interesting) -> None:
         """Offer child-option combinations to ``best``, with branch-and-bound.
 
         ``cost_total`` of any option is at least the summed costs of its
@@ -269,32 +272,33 @@ class PhysicalOptimizer:
         """
         lefts = self._options(node.children[0])
         rights = self._options(node.children[1])
-        buckets = self._achievable_partitionings(node, lefts, rights)
+        buckets = self._achievable_partitionings(node, lefts, rights, interesting)
         threshold: float | None = None
         for left in lefts:
             for right in rights:
                 below = left.cost_total + right.cost_total
                 if threshold is not None and below >= threshold:
                     continue
-                _keep_cheapest(best, below, (left, right), variants(est, left, right))
+                offered = variants(est, left, right)
+                _keep_cheapest(best, interesting, below, (left, right), offered)
                 if len(best) == len(buckets):
                     threshold = max(total for total, _, _ in best.values())
 
     def _achievable_partitionings(
-        self, node: Node, lefts: tuple[PhysNode, ...], rights: tuple[PhysNode, ...]
+        self, node: Node, lefts, rights, interesting
     ) -> frozenset[Partitioning]:
-        """Every output partitioning any child combination could produce."""
+        """Every interesting output partitioning a child combination could give."""
         op = node.op
         writes = self.ctx.props(op).writes
         out: set[Partitioning] = set()
         if isinstance(op, (MatchOp, CoGroupOp)):
             keys = {frozenset(op.left_key_attrs()), frozenset(op.right_key_attrs())}
-            out.add(_keep_partitionings(frozenset(keys), writes))
+            out.add(interesting[_keep_partitionings(frozenset(keys), writes)])
         if isinstance(op, (MatchOp, CrossOp)):
             # Broadcast variants preserve the probe side's partitioning.
             for side in (lefts, rights):
                 for child in side:
-                    out.add(_keep_partitionings(child.partitioning, writes))
+                    out.add(interesting[_keep_partitionings(child.partitioning, writes)])
         return frozenset(out)
 
     # -- cell-level option tables (guided planning) ----------------------------
@@ -327,9 +331,10 @@ class PhysicalOptimizer:
 
     def _compute_cell(self, cell: Cell, k: int) -> CellTable:
         found: dict[tuple, _Bucket] = {}
+        interesting = self._memo.interesting(cell.names)
 
         def bucket_of(partitioning: Partitioning, rows: float, pin) -> _Bucket:
-            key = (partitioning, rows, pin)
+            key = (interesting[partitioning], rows, pin)
             bucket = found.get(key)
             if bucket is None:
                 bucket = found[key] = _Bucket(k)
@@ -389,21 +394,22 @@ class PhysicalOptimizer:
                             tree = Node(op, tuple(o.logical for o in picks))
                         bucket.add(tree, total, variant, est, picks)
         return {
-            key: (bucket.options(self._build), bucket.lost)
+            key: (bucket.options(self._build, interesting), bucket.lost)
             for key, bucket in found.items()
         }
 
     # -- helpers --------------------------------------------------------------
 
     def _build(
-        self, node: Node, est: EstStats, variant: Variant, children: tuple[PhysNode, ...]
+        self, node: Node, est: EstStats, variant: Variant, children: tuple[PhysNode, ...],
+        interesting: dict[Partitioning, Partitioning],
     ) -> PhysNode:
         """Materialize one kept variant over ``children``."""
         self.nodes_built += 1
         cost_self, ships, local, build_side, partitioning = variant
         total = cost_self + sum(c.cost_total for c in children)
         return PhysNode(node, ships, local, build_side, children, est, cost_self,
-                        total, partitioning)
+                        total, interesting[partitioning])
 
     def _udf_cpu(self, op: UdfOperator) -> Callable[[EstStats], float]:
         """``est ->`` the CPU seconds of ``op``'s UDF calls and records."""
@@ -614,16 +620,18 @@ def _ship_to(
 
 
 def _keep_cheapest(
-    best: dict[Partitioning, tuple], below: float, children: tuple, variants: list
+    best: dict[Partitioning, tuple], interesting: dict[Partitioning, Partitioning],
+    below: float, children: tuple, variants: list,
 ) -> None:
     """Offer ``variants`` over ``children`` (summed cost ``below``) to
     ``best``: the cheapest ``(cost_total, variant, children)`` per output
-    partitioning, replaced strictly, so the first offered wins a tie."""
+    partitioning's ``interesting`` part, replaced strictly (first wins a tie)."""
     for variant in variants:
         total = variant[0] + below
-        current = best.get(variant[4])
+        parts = interesting[variant[4]]
+        current = best.get(parts)
         if current is None or total < current[0]:
-            best[variant[4]] = (total, variant, children)
+            best[parts] = (total, variant, children)
 
 
 class _Bucket:
@@ -672,11 +680,11 @@ class _Bucket:
         self.best = dict(kept)
         self.limit = 2 * max(self.k, len(kept))
 
-    def options(self, build) -> tuple[PhysNode, ...]:
+    def options(self, build, interesting) -> tuple[PhysNode, ...]:
         """The kept options, cheapest first, each built by ``build`` now."""
         self._trim()
         return tuple(
-            build(tree, est, variant, children)
+            build(tree, est, variant, children, interesting)
             for _, tree, variant, est, children in self.best.values()
         )
 

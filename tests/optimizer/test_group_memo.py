@@ -154,6 +154,8 @@ def test_shape_dependent_uniqueness_splits_a_class(name):
 DIM = attrs("d.k", "d.v")
 JOINED = ATTRS + DIM
 DIM_KEYS = 8
+#: The third source of a chained Match, joined on the lower join's key.
+EXTRA = attrs("e.k", "e.w")
 BINARY_KINDS = ("match", "cross", "cogroup")
 
 
@@ -204,7 +206,7 @@ def binary_op(kind):
 
 
 @st.composite
-def join_flows(draw, kinds=BINARY_KINDS, all_sums=False):
+def join_flows(draw, kinds=BINARY_KINDS, all_sums=False, chained=False):
     """Random maps and sum-reduces around a Match, Cross or CoGroup.
 
     A reduce sums position 1 (``SUM_REDUCE``), or with ``all_sums`` every
@@ -213,7 +215,10 @@ def join_flows(draw, kinds=BINARY_KINDS, all_sums=False):
     referenced) maybe a reduce; above the binary operator come 0-2 more
     maps and maybe a reduce on the join key — around a key/foreign-key
     Match, the shapes in which invariant grouping moves a Reduce through
-    it and derived uniqueness depends on where it sits.
+    it and derived uniqueness depends on where it sits.  With ``chained``
+    a second Match joins a source ``e`` on the lower join's key ``t.f0``,
+    ``e`` on either side: the shapes in which the upper join forwards the
+    lower one's partitioning through its left or its right key.
     """
     catalog = Catalog()
     catalog.add_source("T", SourceStats(16))
@@ -241,6 +246,16 @@ def join_flows(draw, kinds=BINARY_KINDS, all_sums=False):
         dim = node(reduce_op("agg_d", FieldMap(DIM), 0, all_sums), dim)
     join = binary_op(draw(st.sampled_from(kinds)))
     flow = node(join, fact, dim)
+    if chained:
+        catalog.add_source("E", SourceStats(draw(st.sampled_from((4, 64)))))
+        extra = node(Source("E", EXTRA))
+        udf = binary_udf(concat_udf)
+        if draw(st.booleans()):
+            upper = MatchOp("join2", udf, FieldMap(JOINED), FieldMap(EXTRA), (0,), (0,))
+            flow = node(upper, flow, extra)
+        else:
+            upper = MatchOp("join2", udf, FieldMap(EXTRA), FieldMap(JOINED), (0,), (0,))
+            flow = node(upper, extra, flow)
     for op in maps("above", FieldMap(JOINED)):
         flow = node(op, flow)
     if draw(st.booleans()):
