@@ -183,9 +183,6 @@ class Memo:
     def __len__(self) -> int:
         return len(self.table)
 
-    def __iter__(self) -> Iterator[Node]:
-        return iter(self.table)
-
     def admit(self, flow: Node) -> None:
         """Learn the keys of ``flow``'s operators (down to trees the memo
         holds).  A new keyed operator drops every option table: they were
@@ -226,6 +223,9 @@ class Memo:
         warm-state footprint (the hint-independent structure beside them
         is shared and comparatively small)."""
         return len(self.table) + len(self.cell_options) + len(self.est_cache)
+
+    def __iter__(self) -> Iterator[Node]:
+        return iter(self.table)
 
     # -- logical layer: cells ----------------------------------------------
 

@@ -60,8 +60,8 @@ from .memo import Cell, Memo
 
 Partitioning = frozenset[frozenset[Attribute]]
 RANDOM: Partitioning = frozenset()
-#: One cell's options: ``(partitioning, estimated rows, pinned tree or
-#: None)`` -> (options over distinct logical trees, cheapest first; the
+#: One cell's options: ``(interesting partitioning, estimated rows, pinned
+#: tree or None)`` -> (options over distinct logical trees, cheapest first; the
 #: cheapest cost of an option the table leaves out, ``inf`` if none).
 CellTable = dict[tuple, tuple[tuple["PhysNode", ...], float]]
 #: One physical variant of a node, not yet built: ``(cost_self, ships,
@@ -236,7 +236,7 @@ class PhysicalOptimizer:
         return cached
 
     def _compute_options(self, node: Node) -> tuple[PhysNode, ...]:
-        """The cheapest option per output partitioning, built as a PhysNode."""
+        """The cheapest option per interesting partitioning, built as a PhysNode."""
         op = node.op
         interesting = self._memo.interesting(self.ctx.op_names(node))
         if isinstance(op, Source):
@@ -306,18 +306,18 @@ class PhysicalOptimizer:
     def cell_options(self, cell: Cell, k: int) -> CellTable:
         """The option table of one equivalence cell, at least ``k`` wide.
 
-        Options are bucketed by everything an enclosing operator's
-        estimate and cost can observe about its input: the partitioning,
+        Options are bucketed by everything an enclosing operator's estimate
+        and cost can observe about its input: the interesting partitioning,
         the exact estimated row count, and — when the estimator pins an
         observation to the option's logical tree — the tree itself (width
         follows from the cell's attribute set).  Within a bucket options
         differ only in their logical tree and ``cost_total``, so the ``k``
-        cheapest distinct trees, plus everything tying the k-th, are all
-        an enclosing top-``k`` plan can use — up to rounding: a dearer
-        option can *tie* a kept one once the enclosing costs are added,
-        so each bucket also carries the cheapest cost it left out,
-        rounded upwards sum by sum.  A memo table at least ``k`` wide
-        answers k exactly and is reused; a narrower one is recomputed.
+        cheapest distinct trees, plus everything tying the k-th, are all an
+        enclosing top-``k`` plan can use — up to rounding: a dearer option can
+        *tie* a kept one once the enclosing costs are added, so each bucket
+        also carries the cheapest cost it left out, rounded upwards sum by
+        sum.  A memo table at least ``k`` wide answers k exactly and is
+        reused; a narrower one is recomputed.
         Options are costed by the same planners as :meth:`_options`, so
         each cost is the float the tree-level search computes.
         """
