@@ -19,8 +19,7 @@ lookup.  Three layers exploit this:
 * **Physical optimization** (:mod:`.physical`): a
   :class:`.physical.PhysicalOptimizer` costs against a first-class
   Volcano :class:`.memo.Memo`, so a sub-plan shared by many alternatives
-  is physically optimized once; binary operators prune dominated child
-  combinations with an exact branch-and-bound cut.  Full eager rankings
+  is physically optimized once.  Full eager rankings
   of nine plan spaces are frozen in ``tests/fixtures/rankings/``.
 * **Group memo** (:mod:`.memo`, ``Optimizer(search="guided")``): the swap
   rules fire on *cells* of equivalent sub-flows instead of trees, each

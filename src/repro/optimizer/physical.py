@@ -21,11 +21,8 @@ Options are memoized per interned logical sub-plan in a
 :class:`~repro.optimizer.memo.Memo` (an identity lookup, thanks to
 hash-consing), so a subtree shared by hundreds of alternatives is planned
 once; the memo can be shared across optimizer instances and invalidated
-along the dirty spine of changed operators.  Binary operators add an
-exact branch-and-bound cut: once every achievable output partitioning
-has an option, child combinations whose summed costs cannot beat any
-kept option are skipped before their variants are listed.  Guided
-planning runs the same planners per *cell* of equivalent sub-flows
+along the dirty spine of changed operators.  Guided planning runs the
+same planners per *cell* of equivalent sub-flows
 (:meth:`PhysicalOptimizer.cell_options`), keeping the k cheapest trees
 per option bucket in tables whose width k the memo records.
 """
@@ -262,44 +259,14 @@ class PhysicalOptimizer:
         )
 
     def _binary_options(self, node: Node, est: EstStats, variants, best, interesting) -> None:
-        """Offer child-option combinations to ``best``, with branch-and-bound.
-
-        ``cost_total`` of any option is at least the summed costs of its
-        children, so once every *achievable* output partitioning holds an
-        option, a child pair whose summed costs already reach the most
-        expensive kept option cannot improve any bucket (replacement is
-        strict-<) and is skipped before its variants are generated.
-        """
+        """Offer every child-option combination to ``best``."""
         lefts = self._options(node.children[0])
         rights = self._options(node.children[1])
-        buckets = self._achievable_partitionings(node, lefts, rights, interesting)
-        threshold: float | None = None
         for left in lefts:
             for right in rights:
                 below = left.cost_total + right.cost_total
-                if threshold is not None and below >= threshold:
-                    continue
                 offered = variants(est, left, right)
                 _keep_cheapest(best, interesting, below, (left, right), offered)
-                if len(best) == len(buckets):
-                    threshold = max(total for total, _, _ in best.values())
-
-    def _achievable_partitionings(
-        self, node: Node, lefts, rights, interesting
-    ) -> frozenset[Partitioning]:
-        """Every interesting output partitioning a child combination could give."""
-        op = node.op
-        writes = self.ctx.props(op).writes
-        out: set[Partitioning] = set()
-        if isinstance(op, (MatchOp, CoGroupOp)):
-            keys = {frozenset(op.left_key_attrs()), frozenset(op.right_key_attrs())}
-            out.add(interesting[_keep_partitionings(frozenset(keys), writes)])
-        if isinstance(op, (MatchOp, CrossOp)):
-            # Broadcast variants preserve the probe side's partitioning.
-            for side in (lefts, rights):
-                for child in side:
-                    out.add(interesting[_keep_partitionings(child.partitioning, writes)])
-        return frozenset(out)
 
     # -- cell-level option tables (guided planning) ----------------------------
 
