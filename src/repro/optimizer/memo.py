@@ -28,6 +28,7 @@ invalidation parity tests).
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from ..core.errors import OptimizationError
@@ -35,7 +36,7 @@ from ..core.operators import CoGroupOp, MatchOp, Operator, ReduceOp
 from ..core.plan import Node
 from .cardinality import CardinalityEstimator, EstStats
 from .context import PlanContext
-from .rules import local_swaps
+from .rules import replace_at, swaps
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle (physical imports memo)
     from .physical import CellTable, PhysNode
@@ -137,11 +138,14 @@ class Memo:
         #: The group memo's logical layer: ``classes`` maps an operator-
         #: name set to its cells by derived facts ``(out_attrs, unique_keys,
         #: row_preserving)``, ``exprs`` an expression ``(op, child cells)``
-        #: to its cell, ``_cell_of`` every tree interned so far to its cell.
-        #: Legality only — hint-independent — so :meth:`invalidate` keeps it.
+        #: to its cell, ``_cell_of`` each sub-flow of an explored flow to its
+        #: cell (swapped trees are never built), ``fired`` counts rule
+        #: firings.  Legality only — hint-independent — so :meth:`invalidate`
+        #: keeps it.
         self.classes: dict[frozenset[str], dict[tuple, Cell]] = {}
         self.exprs: dict[tuple[Operator, tuple[Cell, ...]], Cell] = {}
         self._cell_of: dict[Node, Cell] = {}
+        self.fired = 0
         #: Cell -> its option table (:meth:`~repro.optimizer.physical.
         #: PhysicalOptimizer.cell_options`) of the ``cell_width[cell]``
         #: cheapest trees per bucket.  Evicted like estimates: a cell is
@@ -232,25 +236,29 @@ class Memo:
     def explore(self, flow: Node, ctx: PlanContext) -> tuple[Cell, ...]:
         """The cells of ``flow``'s class, closed under every legal swap.
 
-        Each swap rule fires once per (expression, child expression)
-        pair, on one representative tree: a rule reads nothing of a
-        sub-flow beyond what its cell's members agree on, so today's
-        :func:`~repro.optimizer.rules.local_swaps` decides for the whole
-        pair.  The trees the returned cells stand for are exactly the
-        closure :func:`~repro.optimizer.enumeration.iter_flows` streams.
+        The rule body :func:`~repro.optimizer.rules.swaps` fires once per
+        (expression, input side, child expression), building cells, not
+        trees: a rule reads nothing of a sub-flow beyond what its cell's
+        members agree on, so each legality check reads ``cell.rep``.
+        The trees the returned cells stand for are exactly the closure
+        :func:`~repro.optimizer.enumeration.iter_flows` streams.
         A memo serves one plan space: sub-flows over the same operators
         are taken to be reorderings of each other, so a known operator
         name arriving as a different operator object is refused.
         """
         todo: list[tuple[Expr, int, Expr]] = []
+        rep = attrgetter("rep")
         self.admit(flow)  # every tree of the class has the flow's operators
         self._intern(flow, ctx, todo)
+
+        def build(op: Operator, children: tuple[Cell, ...]) -> Cell:
+            return self._add(op, children, None, ctx, todo)
+
         while todo:
             parent, side, child = todo.pop()
-            inputs = [cell.rep for cell in parent.children]
-            inputs[side] = child.rep
-            for swapped in local_swaps(Node(parent.op, tuple(inputs)), ctx):
-                self._intern(swapped, ctx, todo)
+            self.fired += 1
+            for _ in swaps(parent.op, parent.children, side, child, ctx, build, rep):
+                pass
         return tuple(self.classes[ctx.op_names(flow)].values())
 
     def _intern(self, tree: Node, ctx: PlanContext, todo: list) -> Cell:
@@ -301,18 +309,15 @@ class Memo:
             child.parents.append((expr, side))
             todo.extend((expr, side, below) for below in child.exprs)
         todo.extend((parent, side, expr) for parent, side in cell.parents)
-        def over(inputs: tuple[Cell, ...], side: int, other: Cell):
-            return inputs[:side] + (other,) + inputs[side + 1 :]
-
         for side, child in enumerate(children):
             for sibling in tuple(self.classes[child.names].values()):
                 if sibling is not child:
-                    self._add(op, over(children, side, sibling), None, ctx, todo)
+                    self._add(op, replace_at(children, side, sibling), None, ctx, todo)
         if fresh:
             for sibling in tuple(cells.values()):
                 if sibling is not cell:
                     for parent, side in tuple(sibling.parents):
-                        inputs = over(parent.children, side, cell)
+                        inputs = replace_at(parent.children, side, cell)
                         self._add(parent.op, inputs, None, ctx, todo)
         return cell
 

@@ -339,10 +339,16 @@ class Optimizer:
         shared_memo = memo if memo is not None else self.new_memo()
         shared_memo.bind(estimator)
         t0 = clock()
+        fired = shared_memo.fired
         with tracer.span("optimizer.enumerate", category="optimizer") as enum_span:
             roots = shared_memo.explore(flow, self.ctx)
             expanded = shared_memo.tree_count(roots)
-        enum_span.set(alternatives=expanded)
+        fired = shared_memo.fired - fired
+        cells = sum(map(len, shared_memo.classes.values()))
+        enum_span.set(
+            alternatives=expanded, cells=cells, exprs=len(shared_memo.exprs), fired=fired
+        )
+        tracer.count("optimizer.explore.fired", fired)
         t1 = clock()
         physical_optimizer = PhysicalOptimizer(
             self.ctx, estimator, self.params, memo=shared_memo

@@ -12,24 +12,31 @@ Three swap families cover every operator combination the paper proves:
   ``u(v(A,B), C) -> v(u(A,C), B)`` plus mirror images, which together
   yield bushy join orders.
 
+``swaps`` is the one rule body: it fires all three families on an upper
+operator and the lower operator at one of its inputs, building results
+through a callback, so the same code swaps trees (``local_swaps``) and
+the group memo's cells (:meth:`~repro.optimizer.memo.Memo.explore`).
 ``neighbors`` generates every plan reachable by one legal swap anywhere in
 the tree; the enumeration module computes the closure.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator, TypeVar
 
 from ..core.operators import (
     CoGroupOp,
     CrossOp,
     MatchOp,
+    Operator,
     ReduceOp,
     UdfOperator,
 )
 from ..core.plan import Node
 from .conditions import kgp_kat, kgp_map, kgp_match_side, roc
 from .context import PlanContext
+
+T = TypeVar("T")
 
 
 def can_swap_unary_unary(
@@ -176,57 +183,56 @@ def _can_rotate(
 # ---------------------------------------------------------------------------
 
 
-def _is_udf(node: Node) -> bool:
-    return isinstance(node.op, UdfOperator)
+def swaps(
+    op: Operator, inputs: tuple, side: int, lower, ctx: PlanContext,
+    build: Callable[[Operator, tuple], T], node_of: Callable[..., Node],
+) -> Iterator[T]:
+    """All single swaps of the upper operator ``op`` over ``inputs`` with
+    the lower operator ``lower`` (its ``op`` and ``children``) at
+    ``inputs[side]`` — the one body of every rule, over trees or cells.
+
+    ``build(op, children)`` makes each sub-flow of a result (a
+    :class:`Node`, or a memo cell) and ``node_of(input)`` is the tree
+    legality reads for an input.
+    """
+    lop = lower.op
+    if not isinstance(op, UdfOperator) or not isinstance(lop, UdfOperator):
+        return
+    below = lower.children
+    if op.arity == 1:
+        if lop.arity == 1:
+            if can_swap_unary_unary(op, lop, ctx):
+                yield build(lop, (build(op, below),))
+            return
+        for s in (0, 1):
+            if can_exchange_unary_binary(op, lop, s, node_of(below[1 - s]), ctx):
+                yield build(lop, replace_at(below, s, build(op, (below[s],))))
+        return
+    # Binary root: lift a unary out of an input, or rotate with a binary child.
+    other = node_of(inputs[1 - side])
+    if lop.arity == 1:
+        if can_exchange_unary_binary(lop, op, side, other, ctx):
+            yield build(lop, (build(op, replace_at(inputs, side, below[0])),))
+    elif isinstance(lop, (MatchOp, CrossOp)) and isinstance(op, (MatchOp, CrossOp)):
+        for taken_side in (0, 1):
+            if can_rotate(op, lop, node_of(below[1 - taken_side]), other, ctx):
+                upper = build(op, replace_at(inputs, side, below[taken_side]))
+                yield build(lop, replace_at(below, taken_side, upper))
+
+
+def replace_at(items: tuple, i: int, item) -> tuple:
+    """``items`` with position ``i`` holding ``item``."""
+    return items[:i] + (item,) + items[i + 1 :]
 
 
 def local_swaps(node: Node, ctx: PlanContext) -> Iterator[Node]:
     """All single swaps whose *upper* operator is this node's root."""
-    op = node.op
-    if not isinstance(op, UdfOperator):
-        return
-    if op.arity == 1:
-        child = node.children[0]
-        cop = child.op
-        if not isinstance(cop, UdfOperator):
-            return
-        if cop.arity == 1:
-            if can_swap_unary_unary(op, cop, ctx):
-                yield Node(cop, (Node(op, child.children),))
-        else:
-            for side in (0, 1):
-                other = child.children[1 - side]
-                if can_exchange_unary_binary(op, cop, side, other, ctx):
-                    pushed = Node(op, (child.children[side],))
-                    new_children = list(child.children)
-                    new_children[side] = pushed
-                    yield Node(cop, tuple(new_children))
-        return
-    # Binary root: lift a unary out of an input, or rotate with a binary child.
-    for side in (0, 1):
-        inner = node.children[side]
-        other = node.children[1 - side]
-        iop = inner.op
-        if not isinstance(iop, UdfOperator):
-            continue
-        if iop.arity == 1:
-            if can_exchange_unary_binary(iop, op, side, other, ctx):
-                new_children = list(node.children)
-                new_children[side] = inner.children[0]
-                yield Node(iop, (Node(op, tuple(new_children)),))
-        elif isinstance(iop, (MatchOp, CrossOp)) and isinstance(
-            op, (MatchOp, CrossOp)
-        ):
-            for taken_side in (0, 1):
-                taken = inner.children[taken_side]
-                stay = inner.children[1 - taken_side]
-                if can_rotate(op, iop, stay, other, ctx):
-                    new_upper_children = list(node.children)
-                    new_upper_children[side] = taken
-                    new_upper = Node(op, tuple(new_upper_children))
-                    new_lower_children = list(inner.children)
-                    new_lower_children[taken_side] = new_upper
-                    yield Node(iop, tuple(new_lower_children))
+    for side, child in enumerate(node.children):
+        yield from swaps(node.op, node.children, side, child, ctx, Node, _same)
+
+
+def _same(node: Node) -> Node:
+    return node
 
 
 def neighbors(node: Node, ctx: PlanContext) -> Iterator[Node]:

@@ -149,6 +149,37 @@ def test_shape_dependent_uniqueness_splits_a_class(name):
         assert len({ctx.unique_keys(cell.rep) for cell in cells.values()}) > 1
 
 
+# -- the exploration work, as counts ----------------------------------------
+
+#: Space -> (rule firings, cells, expressions) of a cold ``Memo.explore``.
+EXPLORE_COUNTS = {"stress": (907, 60, 208), "tpch_q7-sca": (267, 37, 89)}
+
+
+@pytest.mark.parametrize("name", sorted(EXPLORE_COUNTS))
+def test_explore_builds_no_throwaway_trees(name, monkeypatch):
+    """Rules fire on cells, so a cold exploration constructs at most one
+    ``Node`` (intern probes included) per expression, its representative;
+    firing them on trees took 3,683 constructions for stress's 208."""
+    sp = space(name)
+    ctx = sp.optimizer(search="guided").ctx
+    flow = plan_body(sp.plan)
+    memo = Memo(op_names=ctx.op_names)
+    built = []
+    new = Node.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Node, "__new__", counting)
+    memo.explore(flow, ctx)
+    monkeypatch.undo()
+    fired, cells, exprs = EXPLORE_COUNTS[name]
+    assert len(built) <= len(memo.exprs) == exprs
+    assert memo.fired == fired
+    assert sum(map(len, memo.classes.values())) == cells
+
+
 # -- hypothesis-generated Map / Reduce / Match / Cross / CoGroup flows ------
 
 DIM = attrs("d.k", "d.v")
@@ -277,6 +308,40 @@ def test_generated_flow_memo_is_the_closure(kind, data):
     assert [(p.body, p.cost) for p in guided.ranked] == [
         (p.body, p.cost) for p in eager.ranked[:k]
     ]
+
+
+def mirrored(flow, twins):
+    """``flow`` with the inputs of every binary operator swapped; ``twins``
+    maps each binary operator to its mirror image."""
+    children = tuple(mirrored(child, twins) for child in flow.children)
+    op = flow.op
+    if op.arity != 2:
+        return Node(op, children)
+    twin = twins.get(op)
+    if twin is None:
+        maps = (op.right_map, op.left_map)
+        if isinstance(op, CrossOp):
+            twin = CrossOp(op.name, op.udf, *maps)
+        else:
+            keys = (op.right_key_positions, op.left_key_positions)
+            twin = type(op)(op.name, op.udf, *maps, *keys)
+        twins[op] = twin
+    return Node(twin, children[::-1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_mirroring_the_inputs_mirrors_the_closure(data):
+    """No rule favours an input side: mirroring every binary operator's
+    inputs mirrors the closure, so a swap lost on one side shows even
+    though trees and cells share the rule body.  Over one or two Matches
+    (rotations), the memo stands for that closure too."""
+    flow, catalog = data.draw(join_flows(chained=data.draw(st.booleans())))
+    ctx = PlanContext(catalog, AnnotationMode.SCA)
+    twins = {}
+    want = {mirrored(tree, twins) for tree in iter_flows(flow, ctx)}
+    assert set(iter_flows(mirrored(flow, twins), ctx)) == want
+    check_memo_is_the_closure(flow, ctx)
 
 
 @st.composite

@@ -48,7 +48,7 @@ from repro.bench.harness import run_experiment
 from repro.engine import Engine
 from repro.optimizer import Hints, Optimizer
 from tests.conftest import identity_udf, simple_catalog
-from tests.optimizer.spaces import SPACE_NAMES, space
+from tests.optimizer.spaces import SPACE_NAMES, entry, space
 from repro.workloads import (
     build_clickstream,
     build_q7,
@@ -362,6 +362,31 @@ def test_search_stats_exported_as_counters():
         counters["optimizer.search.costed"]
         + counters["optimizer.search.pruned"]
     )
+
+
+def test_enumerate_span_reports_the_memo_counts():
+    """The enumerate span carries the memo's cells, expressions and rule
+    firings; the counter adds each plan's firings (none when warm); and
+    tracing leaves the plans bit-identical."""
+    from repro.obs import Tracer
+
+    sp = space("stress")
+    tracer = Tracer()
+    optimizer = sp.optimizer(search="guided", top_k=1, tracer=tracer)
+    memo = optimizer.new_memo()
+    traced = optimizer.optimize(sp.plan, memo=memo)
+    (span,) = [s for s in tracer.spans if s.name == "optimizer.enumerate"]
+    cells = sum(map(len, memo.classes.values()))
+    assert span.attrs == {
+        "alternatives": 6864, "cells": cells, "exprs": len(memo.exprs),
+        "fired": memo.fired,
+    }
+    assert (cells, len(memo.exprs), memo.fired) == (60, 208, 907)
+    assert tracer.metrics.counters["optimizer.explore.fired"] == 907
+    optimizer.optimize(sp.plan, memo=memo)
+    assert tracer.metrics.counters["optimizer.explore.fired"] == 907
+    plain = sp.optimizer(search="guided", top_k=1).optimize(sp.plan)
+    assert [entry(p) for p in traced.ranked] == [entry(p) for p in plain.ranked]
 
 
 # -- configuration errors --------------------------------------------------
