@@ -8,7 +8,8 @@ decay over a transactional persistence layer (:mod:`.store` policy
 over :mod:`.backends` — sqlite-WAL), preferring them over hinted
 defaults during estimation (:mod:`.estimator`), and driving an
 optimize -> execute -> learn -> re-optimize fixed-point loop
-(:mod:`.adaptive`).
+(:mod:`.adaptive`).  Every re-planning caller goes through one
+:class:`~.session.PlanningSession` (:mod:`.session`).
 """
 
 from .adaptive import (
@@ -38,6 +39,7 @@ from .observation import (
     observe_plan,
     observe_stage,
 )
+from .session import PlanningSession
 from .store import NodeStats, PlanStats, SourceObservation, StatisticsStore
 
 __all__ = [
@@ -56,6 +58,7 @@ __all__ = [
     "ObservationCollector",
     "OpObservation",
     "PlanStats",
+    "PlanningSession",
     "QErrorReport",
     "SourceObservation",
     "SqliteBackend",

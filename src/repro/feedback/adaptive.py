@@ -42,18 +42,17 @@ from ..core.plan import Node, body as plan_body, signature_key
 from ..core.udf import AnnotationMode
 from ..engine.executor import Engine, ExecutionResult
 from ..obs.tracer import NOOP_TRACER
-from ..optimizer.cardinality import CardinalityEstimator, Hints
-from ..optimizer.context import PlanContext
 from ..optimizer.cost import CostParams
-from ..optimizer.optimizer import OptimizationResult, Optimizer, RankedPlan
+from ..optimizer.optimizer import OptimizationResult, RankedPlan
 from ..workloads.base import Workload
-from .estimator import FeedbackEstimator, QErrorReport, qerror_report
+from .estimator import QErrorReport, qerror_report
 from .midquery import (
     DEFAULT_SWITCH_THRESHOLD,
     MidQueryReoptimizer,
     SwitchDecision,
 )
 from .observation import ObservationCollector
+from .session import PlanningSession
 from .store import StatisticsStore
 
 
@@ -122,15 +121,15 @@ class AdaptiveReport:
 class AdaptiveOptimizer:
     """Drives the optimize -> execute -> observe -> re-optimize loop.
 
-    Re-optimization is *incremental*: the first round's optimization
-    leaves its :class:`~repro.optimizer.memo.Memo` — physical options,
-    estimates, and the enumerated closure — in place, and every later
-    round first invalidates only the dirty spine above the operators
-    whose learned statistics actually changed (the diff of the store's
-    :meth:`~repro.feedback.store.StatisticsStore.estimator_view` across
-    the round's ingests), then re-costs just those entries.  Results are
-    bit-identical to rebuilding from scratch each round; a converged
-    round (no view change) re-costs nothing.
+    Re-optimization is *incremental*: the loop plans through one
+    :class:`~.session.PlanningSession`, whose memo — physical options,
+    estimates, and the enumerated closure — carries across rounds.  Each
+    round starts with :meth:`~.session.PlanningSession.refresh`, which
+    evicts only the dirty spine above the operators whose learned view
+    changed since the last round planned (this loop's ingests and any
+    foreign commits, in one diff), then re-costs just those entries.
+    Results are bit-identical to rebuilding from scratch each round; a
+    converged round (no view change) re-costs nothing.
     """
 
     def __init__(
@@ -149,15 +148,12 @@ class AdaptiveOptimizer:
         # A warm store learned on different data (another scale or seed)
         # must fail loudly instead of silently mis-estimating.
         self.store.check_compatible(workload.catalog)
-        self.mode = mode
         self.params = params or workload.params
         self.picks = picks
         # One tracer threads the whole loop: optimizer spans, engine
         # stage/partition spans, and the store's ingest/sync spans all
         # land on the same timeline.
         self.tracer = tracer if tracer is not None else NOOP_TRACER
-        if tracer is not None:
-            self.store.tracer = tracer
         self.collector = ObservationCollector()
         self.engine = Engine(
             self.params,
@@ -166,18 +162,10 @@ class AdaptiveOptimizer:
             collector=self.collector,
             tracer=tracer,
         )
-        self.optimizer = Optimizer(
-            workload.catalog,
-            workload.hints,
-            mode,
-            self.params,
-            estimator_factory=self._make_estimator,
+        self.session = PlanningSession(
+            workload.catalog, workload.hints, mode, self.params, self.store,
             tracer=tracer,
         )
-        # Carried across rounds; invalidated along the dirty spine of the
-        # estimator-view diff before each re-optimization.
-        self.memo = self.optimizer.new_memo()
-        self._view = self.store.estimator_view()
         # In-flight path: when enabled, each round's deployed pick runs
         # stage-by-stage with suffix re-optimization at every boundary;
         # the controller shares this loop's store, so stage deltas land
@@ -193,11 +181,6 @@ class AdaptiveOptimizer:
                 switch_threshold=switch_threshold,
                 tracer=tracer,
             )
-
-    def _make_estimator(
-        self, ctx: PlanContext, hints: dict[str, Hints]
-    ) -> CardinalityEstimator:
-        return FeedbackEstimator(ctx, hints, self.store)
 
     # -- the loop ----------------------------------------------------------
 
@@ -234,29 +217,11 @@ class AdaptiveOptimizer:
         return report
 
     def _run_round(self, index: int) -> AdaptiveRound:
-        # Incorporate any foreign commits to a shared backend first, so
-        # this round optimizes over the freshest learned statistics; the
-        # dirty-spine diff below evicts exactly the affected memo
-        # entries.  Backend-less (and single-writer) runs see an empty
-        # diff and proceed bit-identically to the seed loop.
-        self.store.sync()
-        fresh_view = self.store.estimator_view()
-        foreign_changed = {
-            name
-            for name in fresh_view.keys() | self._view.keys()
-            if fresh_view.get(name) != self._view.get(name)
-        }
-        if foreign_changed:
-            self._view = fresh_view
-            with self.tracer.span(
-                "optimizer.invalidate",
-                category="optimizer",
-                changed=len(foreign_changed),
-            ) as span:
-                evicted = self.memo.invalidate(foreign_changed)
-            span.set(evicted=evicted)
-            self.tracer.count("optimizer.memo_evictions", evicted)
-        optimization = self.optimizer.optimize(self.workload.plan, memo=self.memo)
+        # Bring the memo up to the freshest learned statistics: the last
+        # round's ingests and any foreign commits to a shared backend are
+        # one view diff.  A cold, single-writer first round sees nothing.
+        self.session.refresh()
+        optimization = self.session.plan(self.workload.plan)
         estimator_pick = optimization.best
         # Deployment decision uses what the store knew when this round
         # optimized — the round's own executions inform the *next* round.
@@ -297,34 +262,13 @@ class AdaptiveOptimizer:
 
         # Estimate quality is judged *before* learning from this round:
         # the cached estimates are exactly what ranked the plans above.
-        estimator = self.optimizer.last_estimator
+        estimator = self.session.optimizer.last_estimator
         bodies = {_plan_key(run.plan.body): run.plan.body for run in executed}
         qerror = qerror_report(estimator, self.collector.executions, bodies)
 
         for execution in self.collector.executions:
             self.store.ingest(execution)
         self.collector.clear()
-
-        # Dirty-spine invalidation for the next round: evict exactly the
-        # memo entries whose subtree contains an operator whose learned
-        # view this round's ingests changed.  Everything else — and the
-        # enumerated closure — is reused verbatim by the next optimize.
-        view = self.store.estimator_view()
-        changed = {
-            name
-            for name in view.keys() | self._view.keys()
-            if view.get(name) != self._view.get(name)
-        }
-        self._view = view
-        if changed:
-            with self.tracer.span(
-                "optimizer.invalidate",
-                category="optimizer",
-                changed=len(changed),
-            ) as span:
-                evicted = self.memo.invalidate(changed)
-            span.set(evicted=evicted)
-            self.tracer.count("optimizer.memo_evictions", evicted)
 
         pick_run = seen[_plan_key(pick.body)]
         pick_seconds = pick_run.seconds

@@ -62,14 +62,13 @@ from ..core.udf import AnnotationMode
 from ..engine.executor import Engine, ExecutionResult, StageRun
 from ..engine.partition import Partitions
 from ..obs.tracer import NOOP_TRACER
-from ..optimizer.cardinality import CardinalityEstimator, Hints
-from ..optimizer.context import PlanContext
+from ..optimizer.cardinality import Hints
 from ..optimizer.cost import CostParams
-from ..optimizer.optimizer import OptimizationResult, Optimizer, RankedPlan
+from ..optimizer.optimizer import OptimizationResult, RankedPlan
 from ..optimizer.physical import PhysNode
 from ..workloads.base import Workload, source_stats
-from .estimator import FeedbackEstimator
 from .observation import ObservationCollector, observe_stage
+from .session import PlanningSession
 from .store import StatisticsStore
 
 #: Default minimum improvement ratio before a running plan is abandoned.
@@ -127,32 +126,18 @@ class MidQueryReoptimizer:
         self.store.check_compatible(catalog)
         self.switch_threshold = switch_threshold
         self.tracer = tracer if tracer is not None else NOOP_TRACER
-        if tracer is not None:
-            self.store.tracer = tracer
         # Overlay catalog: synthetic boundary sources are registered here,
         # never on the caller's catalog.
         self.catalog = catalog.clone()
-        self.optimizer = Optimizer(
-            self.catalog,
-            hints,
-            mode,
-            params,
-            estimator_factory=self._make_estimator,
-            tracer=tracer,
+        self.session = PlanningSession(
+            self.catalog, hints, mode, params, self.store, tracer=tracer
         )
-        self.ctx = self.optimizer.ctx
-        self.memo = self.optimizer.new_memo()
+        self.ctx = self.session.optimizer.ctx
         self.decisions: list[SwitchDecision] = []
-        self._view = self.store.estimator_view()
         self._boundary_ops: dict[PhysNode, Node] = {}
         self._stage_sources: list[str] = []
         self._run_id: str | None = None
         self._seq = 0
-
-    def _make_estimator(
-        self, ctx: PlanContext, hints: dict[str, Hints]
-    ) -> CardinalityEstimator:
-        return FeedbackEstimator(ctx, hints, self.store)
 
     # -- engine callback ---------------------------------------------------
 
@@ -178,36 +163,23 @@ class MidQueryReoptimizer:
             boundary=stage.index,
         )
         with boundary_span:
-            # 0. Incorporate foreign commits to a shared backend before
-            # folding this stage's delta; the view diff below then covers
-            # foreign and local changes in one pass.  No-op without a
-            # backend or concurrent writers.
-            self.store.sync()
             # 1. Flush the stage's observation delta into the store — and
             # into the engine's collector, so drivers that bulk-ingest
             # collected observations later see it too (deduped there by
-            # run id).
+            # run id).  A backend ingest folds foreign commits in first.
             observation = observe_stage(stage, engine.true_costs, run_id)
             if engine.collector is not None:
                 engine.collector.executions.append(observation)
             if observation.ops:
                 self.store.ingest(observation)
 
-            # 2. Exact dirty set: the per-name estimator-view diff.
-            view = self.store.estimator_view()
-            changed = frozenset(
-                name
-                for name in view.keys() | self._view.keys()
-                if view.get(name) != self._view.get(name)
-            )
-            self._view = view
+            # 2. Exact dirty set, foreign and local changes in one diff;
+            # its spine is evicted from the run's memo.
+            changed = self.session.refresh()
 
             # 3. Re-plan the unexecuted suffix over the pinned boundaries.
             suffix = self._suffix_body(plan, completed)
-            if changed:
-                result = self.optimizer.reoptimize(suffix, self.memo, changed)
-            else:
-                result = self.optimizer.optimize(suffix, memo=self.memo)
+            result = self.session.plan(suffix)
             current = self._rank_of_flow(result.ranked, suffix)
             best = result.best
 
@@ -250,7 +222,7 @@ class MidQueryReoptimizer:
         """
         self._run_id = run_id
         self._boundary_ops.clear()
-        self.memo = self.optimizer.new_memo()
+        self.session.reset()
         for name in self._stage_sources:
             self.catalog.remove_source(name)
         self._stage_sources.clear()
@@ -411,26 +383,6 @@ def run_midquery(
     """
     params = params or workload.params
     hints = hints if hints is not None else workload.hints
-    store = store if store is not None else StatisticsStore()
-    if tracer is not None:
-        store.tracer = tracer
-    result = optimization
-    if result is None:
-        optimizer = Optimizer(
-            workload.catalog,
-            hints,
-            mode,
-            params,
-            estimator_factory=lambda ctx, h: FeedbackEstimator(ctx, h, store),
-            tracer=tracer,
-        )
-        result = optimizer.optimize(workload.plan)
-    pick = result.best
-
-    if baseline is None:
-        baseline_engine = Engine(params, workload.true_costs, tracer=tracer)
-        baseline = baseline_engine.execute(pick.physical, workload.data)
-
     controller = MidQueryReoptimizer(
         workload.catalog,
         hints,
@@ -440,6 +392,16 @@ def run_midquery(
         switch_threshold=switch_threshold,
         tracer=tracer,
     )
+    store = controller.store
+    # The controller's session plans the initial pick too; its memo is
+    # reset when the staged run reaches its first boundary.
+    result = optimization or controller.session.plan(workload.plan)
+    pick = result.best
+
+    if baseline is None:
+        baseline_engine = Engine(params, workload.true_costs, tracer=tracer)
+        baseline = baseline_engine.execute(pick.physical, workload.data)
+
     staged_engine = Engine(
         params,
         workload.true_costs,

@@ -167,6 +167,8 @@ class StatisticsStore:
     )
     #: Backend generation this process has incorporated (0 = fresh).
     _generation: int = field(default=0, repr=False, compare=False)
+    #: The latest estimator view and the (generation, version) it shows.
+    _view: tuple = field(default=(None, None), repr=False, compare=False)
     #: Wall-clock observability (repro.obs); never part of store state —
     #: excluded from repr/compare and from every persisted payload.
     tracer: object = field(default=NOOP_TRACER, repr=False, compare=False)
@@ -353,12 +355,7 @@ class StatisticsStore:
         with self.tracer.span("feedback.sync", category="feedback") as span:
             before = self.estimator_view()
             self._reload()
-            after = self.estimator_view()
-            dirty = frozenset(
-                name
-                for name in before.keys() | after.keys()
-                if before.get(name) != after.get(name)
-            )
+            dirty = view_diff(before, self.estimator_view())
         span.set(dirty=len(dirty))
         self.tracer.count("feedback.syncs")
         return dirty
@@ -445,8 +442,12 @@ class StatisticsStore:
         transitions are captured too: an entry crossing the horizon
         drops out of the view and flags its name.  (:meth:`sync` applies
         the same diff across *processes*, keyed off the backend's
-        generation counter.)
+        generation counter.)  The view is built once per state (keyed by
+        generation and version) and shared: callers must not mutate it.
         """
+        state = (self._generation, self.version)
+        if self._view[0] == state:
+            return self._view[1]
         view: dict[str, list] = {}
         for name, hint in self.learned_hints().items():
             view.setdefault(name, []).append(("hints", hint))
@@ -458,7 +459,9 @@ class StatisticsStore:
                 view.setdefault(node.op_name, []).append(
                     ("node", key, node.rows_out, node.udf_calls)
                 )
-        return {name: tuple(entries) for name, entries in view.items()}
+        frozen = {name: tuple(entries) for name, entries in view.items()}
+        self._view = (state, frozen)
+        return frozen
 
     def node_stats(self, key: str) -> NodeStats | None:
         """Fresh per-signature statistics, or None if unknown/stale."""
@@ -669,6 +672,15 @@ class StatisticsStore:
                 "stop its writers and retry"
             ) from None
         return StatisticsStore.open(path, backend=destination)
+
+
+def view_diff(before: dict[str, tuple], after: dict[str, tuple]) -> frozenset[str]:
+    """Names whose view entries differ, a name missing on one side included."""
+    return frozenset(
+        name
+        for name in before.keys() | after.keys()
+        if before.get(name) != after.get(name)
+    )
 
 
 def _node_row(n: NodeStats) -> dict:

@@ -28,8 +28,8 @@ lookup.  Three layers exploit this:
 * **Incremental re-costing** (:mod:`.memo`): an explicit memo passed to
   ``Optimizer.optimize(memo=...)`` survives across calls and feedback
   rounds; ``Memo.invalidate(changed_ops)`` evicts only the dirty spine
-  above operators whose hints or learned statistics changed, and
-  ``Optimizer.reoptimize`` re-ranks bit-identically to a full rebuild.
+  above operators whose hints or learned statistics changed, and the
+  next ``optimize`` re-ranks bit-identically to a full rebuild.
 """
 
 from .cardinality import CardinalityEstimator, EstStats, Hints

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 from ..core.catalog import Catalog
 from ..core.errors import OptimizationConfigError, OptimizationError
@@ -136,9 +136,10 @@ class Optimizer:
     **Incremental re-costing.**  :meth:`optimize` accepts an explicit
     ``memo`` (see :meth:`new_memo`) whose surviving entries — options,
     estimates, and the enumerated closure — are reused verbatim; after a
-    hint or statistics change, call :meth:`reoptimize` (or
-    :meth:`~repro.optimizer.memo.Memo.invalidate` yourself) so the dirty
-    spine above the changed operators is evicted first.  By default every
+    hint or statistics change, call
+    :meth:`~repro.optimizer.memo.Memo.invalidate` so the dirty spine
+    above the changed operators is evicted first (the feedback layer's
+    :class:`~repro.feedback.session.PlanningSession` does).  By default every
     :meth:`optimize` call builds a fresh memo, so one ``Optimizer``
     instance is safely re-entrant across plans and repeated calls.
 
@@ -212,8 +213,9 @@ class Optimizer:
         """A fresh memo wired to this optimizer's context.
 
         Pass it to :meth:`optimize` to carry costed state across calls;
-        invalidate it (:meth:`reoptimize`) whenever the hints or learned
-        statistics of some operators change in between.
+        invalidate it (:meth:`~repro.optimizer.memo.Memo.invalidate`)
+        whenever the hints or learned statistics of some operators change
+        in between.
         """
         return Memo(op_names=self.ctx.op_names)
 
@@ -255,27 +257,6 @@ class Optimizer:
             physical_seconds=phys_secs,
             search_stats=stats,
         )
-
-    def reoptimize(
-        self, plan: Node, memo: Memo, changed_ops: Iterable[str]
-    ) -> OptimizationResult:
-        """Re-rank after a hint/statistics change to ``changed_ops``.
-
-        Evicts the dirty spine above the changed operators from ``memo``
-        and re-optimizes; entries whose subtrees contain no changed
-        operator — and the enumerated closure — are reused verbatim.
-        Bit-identical to a full rebuild with the same hints (pinned by
-        the invalidation parity tests), at a fraction of the cost.
-        """
-        changed = tuple(changed_ops)
-        with self.tracer.span(
-            "optimizer.invalidate", category="optimizer", changed=len(changed)
-        ) as span:
-            evicted = memo.invalidate(changed)
-        span.set(evicted=evicted)
-        self.tracer.count("optimizer.invalidations")
-        self.tracer.count("optimizer.memo_evictions", evicted)
-        return self.optimize(plan, memo=memo)
 
     # -- internals ---------------------------------------------------------
 

@@ -6,16 +6,15 @@ re-evaluates in milliseconds, learned statistics — and a one-shot CLI
 throws all of it away after every call.  :class:`PlanningServer` keeps
 that state hot and serves it concurrently:
 
-* **Per-tenant statistics.**  Each tenant owns a sqlite-WAL
+* **Per-tenant statistics and sessions.**  Each tenant owns a sqlite-WAL
   :class:`~repro.feedback.store.StatisticsStore` under ``stats_dir``
-  (shareable with any ingesting process); every request first runs
-  ``store.sync()``, and a foreign commit invalidates exactly the dirty
-  memo spine and rotates the tenant's cache fingerprint (old entries are
-  garbage-collected once no live tenant reads them) — the same exact
-  invalidation contract the adaptive loop uses.
-* **Per-tenant warm memos.**  One memo per (tenant, workload, mode,
-  scale) plan space carries cells, options and estimates across requests, so
-  a cache *miss* after an invalidation still re-plans incrementally.
+  (shareable with any ingesting process) and one
+  :class:`~repro.feedback.session.PlanningSession` per (workload, mode,
+  scale) plan space.  Every request first refreshes its session — the
+  adaptive loop's call — which syncs the store and evicts exactly the
+  dirty memo spine, so a cache *miss* after a foreign commit re-plans
+  incrementally; if the store moved, the tenant's cache fingerprint
+  rotates (old entries are dropped once no live tenant reads them).
 * **A shared plan cache** keyed on the full planning identity —
   ``(workload, mode, scale, top_k, statistics fingerprint)`` where the
   fingerprint hashes the tenant's ``estimator_view()``.  Two tenants
@@ -57,13 +56,10 @@ from pathlib import Path
 from ..core.errors import FeedbackError
 from ..core.plan import linearize, signature_key
 from ..core.udf import AnnotationMode
-from ..feedback.estimator import FeedbackEstimator
+from ..feedback.session import PlanningSession
 from ..feedback.store import StatisticsStore
 from ..obs.export import render_prometheus
 from ..obs.tracer import NOOP_TRACER, MetricsRegistry, Tracer, clock
-from ..optimizer.cardinality import CardinalityEstimator
-from ..optimizer.memo import Memo
-from ..optimizer.optimizer import Optimizer
 from ..workloads import ALL_WORKLOADS
 from .protocol import (
     ADMISSION_REJECTED,
@@ -154,14 +150,15 @@ class _CacheEntry:
 
 @dataclass(slots=True)
 class TenantState:
-    """Hot per-tenant state: statistics store, warm memos, hit history."""
+    """Hot per-tenant state: statistics store, sessions, hit history."""
 
     name: str
     store: StatisticsStore
     fingerprint: str
-    #: (workload, mode, scale) -> long-lived Optimizer / warm Memo.
-    optimizers: dict[tuple, Optimizer] = field(default_factory=dict)
-    memos: dict[tuple, Memo] = field(default_factory=dict)
+    #: Store generation the fingerprint was taken at.
+    generation: int
+    #: (workload, mode, scale) -> planning session with a warm memo.
+    sessions: dict[tuple, PlanningSession] = field(default_factory=dict)
     #: Serializes this tenant's sync/plan critical section (one memo
     #: cannot be mutated concurrently); cross-tenant requests overlap.
     lock: asyncio.Lock = field(default_factory=asyncio.Lock)
@@ -174,7 +171,7 @@ class TenantState:
     )
 
     def memo_entries(self) -> int:
-        return sum(memo.size() for memo in self.memos.values())
+        return sum(s.memo.size() for s in self.sessions.values())
 
 
 class PlanningServer:
@@ -410,11 +407,7 @@ class PlanningServer:
         )
         try:
             with span:
-                dirty = await asyncio.to_thread(
-                    self._sync_store, tenant, tracer
-                )
-                if dirty:
-                    self._apply_invalidation(tenant, dirty, tracer)
+                await self._refresh(tenant, req, tracer)
                 params = req.params()
                 tenant.hits[params] = tenant.hits.get(params, 0) + 1
                 key = (*params, tenant.fingerprint)
@@ -457,70 +450,84 @@ class PlanningServer:
 
     # -- planning internals (worker threads, under the tenant lock) --------
 
-    def _sync_store(self, tenant: TenantState, tracer) -> frozenset[str]:
-        """Probe the tenant's backend for foreign commits (thread)."""
-        store = tenant.store
-        store.tracer = tracer
-        try:
-            return store.sync()
-        finally:
-            store.tracer = NOOP_TRACER
-
-    def _apply_invalidation(
-        self, tenant: TenantState, dirty: frozenset[str], tracer
+    async def _refresh(
+        self, tenant: TenantState, req: PlanRequest, tracer
     ) -> None:
-        """Exact invalidation after a foreign ingest (loop thread).
+        """Refresh the request's session, which evicts its memo's dirty
+        spine (the tenant's other sessions catch up on their own next
+        request); rotate the tenant's fingerprint if the store moved."""
+        session = await asyncio.to_thread(
+            self._refresh_session, tenant, req, tracer
+        )
+        if session.evicted:
+            self.metrics.inc("serve.memo_evictions", session.evicted)
+        if tenant.store.generation != tenant.generation:
+            tenant.generation = tenant.store.generation
+            fingerprint = view_fingerprint(tenant.store.estimator_view())
+            if fingerprint != tenant.fingerprint:
+                self._rotate(tenant, fingerprint, tracer)
 
-        Evicts the dirty memo spines and rotates the tenant's
-        fingerprint, which by itself makes every prior cache entry
-        unreachable *for this tenant* — the fingerprint in the key
-        certifies exactly which statistics a cached plan was computed
-        from, so no rotation can ever serve a stale plan.  Entries under
-        the old fingerprint are then garbage-collected unless some other
-        live tenant still carries that fingerprint (its statistics
-        didn't change, so for it those plans remain exactly right).
-        Finally the tenant's hot signatures, now uncached under the new
-        fingerprint, queue for background re-planning.
-        """
-        evicted = 0
-        with tracer.span(
-            "serve.invalidate", category="serve", dirty=len(dirty)
-        ) as span:
-            for memo in tenant.memos.values():
-                evicted += memo.invalidate(dirty)
-            stale_fp = tenant.fingerprint
-            tenant.fingerprint = view_fingerprint(
-                tenant.store.estimator_view()
+    def _refresh_session(
+        self, tenant: TenantState, req: PlanRequest, tracer
+    ) -> PlanningSession:
+        """The request's plan-space session, refreshed (thread)."""
+        space = (req.workload, req.mode, req.scale)
+        session = tenant.sessions.get(space)
+        if session is None:
+            workload = self._workload(req.workload, req.scale)
+            session = tenant.sessions[space] = PlanningSession(
+                workload.catalog,
+                workload.hints,
+                _MODE[req.mode],
+                workload.params,
+                tenant.store,
+                search=self.config.search,
             )
-            dropped = 0
-            if tenant.fingerprint != stale_fp:
-                still_read = any(
-                    peer.fingerprint == stale_fp
-                    for peer in self._tenants.values()
-                    if peer is not tenant
-                )
-                if not still_read:
-                    stale_keys = [
-                        key
-                        for key, entry in self._cache.items()
-                        if entry.fingerprint == stale_fp
-                    ]
-                    for key in stale_keys:
-                        del self._cache[key]
-                    dropped = len(stale_keys)
-                for params, count in tenant.hits.items():
-                    if (
-                        count >= self.config.reopt_hot_hits
-                        and (*params, tenant.fingerprint) not in self._cache
-                        and params not in tenant.pending_reopt
-                    ):
-                        tenant.pending_reopt[params] = PlanRequest(
-                            tenant.name, *params
-                        )
-        span.set(evicted=evicted, cache_dropped=dropped)
+        tenant.store.tracer = tracer
+        try:
+            session.refresh(tracer)
+        finally:
+            tenant.store.tracer = NOOP_TRACER
+        return session
+
+    def _rotate(self, tenant: TenantState, fingerprint: str, tracer) -> None:
+        """Move a tenant to a new statistics fingerprint (loop thread).
+
+        The rotation alone makes every prior cache entry unreachable *for
+        this tenant*: the fingerprint in the key certifies exactly which
+        statistics a cached plan was computed from.  Entries under the old
+        fingerprint are garbage-collected unless another live tenant
+        still carries it (for it those plans remain exactly right).  The
+        tenant's hot signatures, now uncached, queue for background
+        re-planning.
+        """
+        with tracer.span("serve.invalidate", category="serve") as span:
+            stale_fp = tenant.fingerprint
+            tenant.fingerprint = fingerprint
+            still_read = any(
+                peer.fingerprint == stale_fp
+                for peer in self._tenants.values()
+                if peer is not tenant
+            )
+            stale_keys = [
+                key
+                for key, entry in self._cache.items()
+                if entry.fingerprint == stale_fp and not still_read
+            ]
+            for key in stale_keys:
+                del self._cache[key]
+            for params, count in tenant.hits.items():
+                if (
+                    count >= self.config.reopt_hot_hits
+                    and (*params, fingerprint) not in self._cache
+                    and params not in tenant.pending_reopt
+                ):
+                    tenant.pending_reopt[params] = PlanRequest(
+                        tenant.name, *params
+                    )
+        span.set(cache_dropped=len(stale_keys))
         self.metrics.inc("serve.invalidations")
-        self.metrics.inc("serve.memo_evictions", evicted)
-        self.metrics.inc("serve.cache_invalidations", dropped)
+        self.metrics.inc("serve.cache_invalidations", len(stale_keys))
 
     def _plan_cold(
         self, tenant: TenantState, req: PlanRequest, tracer
@@ -531,33 +538,12 @@ class PlanningServer:
         # fail loudly instead of silently mis-estimating — same contract
         # as the adaptive loop.
         tenant.store.check_compatible(workload.catalog)
-        space = (req.workload, req.mode, req.scale)
-        optimizer = tenant.optimizers.get(space)
-        if optimizer is None:
-            store = tenant.store
-
-            def estimator_factory(ctx, hints) -> CardinalityEstimator:
-                return FeedbackEstimator(ctx, hints, store)
-
-            optimizer = Optimizer(
-                workload.catalog,
-                workload.hints,
-                _MODE[req.mode],
-                workload.params,
-                estimator_factory=estimator_factory,
-                search=self.config.search,
-                top_k=req.top_k,
-            )
-            tenant.optimizers[space] = optimizer
-            tenant.memos[space] = optimizer.new_memo()
-        # The request's tracer and top_k ride on the cached optimizer;
-        # safe because the tenant lock serializes its requests.
-        optimizer.tracer = tracer
-        optimizer.top_k = req.top_k
+        # Refreshed by the caller; planning never syncs, so the result
+        # matches the fingerprint it is filed under.
+        session = tenant.sessions[(req.workload, req.mode, req.scale)]
         t0 = clock()
-        result = optimizer.optimize(workload.plan, memo=tenant.memos[space])
+        result = session.plan(workload.plan, req.top_k, tracer)
         planning_seconds = clock() - t0
-        optimizer.tracer = NOOP_TRACER
         best = result.best
         stats = result.search_stats
         return {
@@ -615,6 +601,7 @@ class PlanningServer:
             name=name,
             store=store,
             fingerprint=view_fingerprint(store.estimator_view()),
+            generation=store.generation,
         )
         self._tenants[name] = tenant
         return tenant
@@ -668,11 +655,7 @@ class PlanningServer:
                         tenant=tenant.name,
                         workload=req.workload,
                     ):
-                        dirty = await asyncio.to_thread(
-                            self._sync_store, tenant, tracer
-                        )
-                        if dirty:
-                            self._apply_invalidation(tenant, dirty, tracer)
+                        await self._refresh(tenant, req, tracer)
                         key = (*params, tenant.fingerprint)
                         if key not in self._cache:
                             try:

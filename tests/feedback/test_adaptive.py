@@ -18,6 +18,7 @@ from repro.core import AnnotationMode
 from repro.core.errors import FeedbackError
 from repro.datagen import ClickScale, CorpusScale, TpchScale
 from repro.feedback import AdaptiveOptimizer, FeedbackEstimator, StatisticsStore
+from repro.obs import Tracer
 from repro.optimizer import Optimizer
 from repro.workloads import (
     build_clickstream,
@@ -79,6 +80,19 @@ class TestFeedbackImprovesThePick:
         workload = SMALL_BUILDERS["tpch_q15"]()
         with pytest.raises(FeedbackError, match="feedback_rounds"):
             AdaptiveOptimizer(workload).run(feedback_rounds=-1)
+
+
+def test_each_invalidation_is_counted_once():
+    """Two traced rounds on Q7: round 1's refresh is the loop's only
+    invalidation (round 0 plans on a cold store, and the last round's
+    ingests wait for a round that never comes).  Its span and both
+    counters agree on it."""
+    tracer = Tracer()
+    AdaptiveOptimizer(build_q7(), picks=1, tracer=tracer).run(feedback_rounds=1)
+    spans = [s for s in tracer.spans if s.name == "optimizer.invalidate"]
+    assert [s.attrs for s in spans] == [{"changed": 14, "evicted": 1417}]
+    assert tracer.metrics.counters["optimizer.invalidations"] == 1
+    assert tracer.metrics.counters["optimizer.memo_evictions"] == 1417
 
 
 class TestFeedbackDisabledParity:

@@ -161,7 +161,8 @@ def test_guided_parity_under_random_hint_perturbations(case):
     more = {op: Hints(selectivity=1.3, cpu_per_call=2.0) for op in changes}
     hints2 = {**hints, **more}
     guided_opt.hints = hints2
-    re_guided = guided_opt.reoptimize(workload.plan, memo, set(more))
+    memo.invalidate(set(more))
+    re_guided = guided_opt.optimize(workload.plan, memo=memo)
     re_eager = Optimizer(
         workload.catalog, hints2, AnnotationMode.SCA, workload.params
     ).optimize(workload.plan)

@@ -164,7 +164,8 @@ def test_reoptimize_after_hint_change_matches_full_rebuild(workloads, name):
     # change one hinted operator (or hint a previously unhinted one)
     target = sorted(opt.ctx.op_names(plan_body(w.plan)))[0]
     opt.hints = {**w.hints, target: Hints(selectivity=0.31, cpu_per_call=2.7)}
-    incremental = opt.reoptimize(w.plan, memo, {target})
+    memo.invalidate({target})
+    incremental = opt.optimize(w.plan, memo=memo)
     full = Optimizer(
         w.catalog, opt.hints, AnnotationMode.SCA, w.params
     ).optimize(w.plan)
@@ -180,7 +181,8 @@ def test_repeated_invalidations_converge(workloads):
     changed = {**w.hints, "gamma_revenue": Hints(distinct_keys=5, cpu_per_call=2.0)}
     for hints in (changed, w.hints, changed):
         opt.hints = hints
-        incremental = opt.reoptimize(w.plan, memo, {"gamma_revenue"})
+        memo.invalidate({"gamma_revenue"})
+        incremental = opt.optimize(w.plan, memo=memo)
         full = Optimizer(
             w.catalog, hints, AnnotationMode.SCA, w.params
         ).optimize(w.plan)

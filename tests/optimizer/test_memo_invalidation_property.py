@@ -99,7 +99,8 @@ def test_invalidation_parity_under_random_hint_changes(case):
     for step in steps:
         hints = {**hints, **step}
         optimizer.hints = hints
-        incremental = optimizer.reoptimize(workload.plan, memo, set(step))
+        memo.invalidate(set(step))
+        incremental = optimizer.optimize(workload.plan, memo=memo)
         incremental_estimator = optimizer.last_estimator
         reference = Optimizer(
             workload.catalog, hints, AnnotationMode.SCA, workload.params

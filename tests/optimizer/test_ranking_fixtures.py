@@ -68,7 +68,8 @@ def test_guided_replan_after_invalidate_matches_fixture_prefix(name, k):
     memo = optimizer.new_memo()
     optimizer.optimize(sp.plan, memo=memo)
     optimizer.hints = sp.hints
-    result = optimizer.reoptimize(sp.plan, memo, (op,))
+    memo.invalidate((op,))
+    result = optimizer.optimize(sp.plan, memo=memo)
     assert [entry(p) for p in result.ranked] == prefix(name, k)
 
 

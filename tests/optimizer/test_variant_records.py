@@ -63,7 +63,8 @@ def test_narrower_replan_recomputes_evicted_tables_at_its_width(name):
     before = dict(memo.cell_options)
     op, _ = changed_hint(sp)
     optimizer.top_k = 1
-    narrow = optimizer.reoptimize(sp.plan, memo, (op,))
+    memo.invalidate((op,))
+    narrow = optimizer.optimize(sp.plan, memo=memo)
     assert [entry(p) for p in narrow.ranked] == prefix(name, 1)
     recomputed = [c for c, table in memo.cell_options.items() if before.get(c) is not table]
     assert recomputed and len(recomputed) < len(memo.cell_options)

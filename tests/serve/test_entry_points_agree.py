@@ -169,7 +169,7 @@ def test_three_entry_points_evict_the_same_entries(
     adaptive = AdaptiveOptimizer(
         workload, store=StatisticsStore.open(paths["adaptive"]), picks=1
     )
-    adaptive.optimizer.optimize(workload.plan, memo=adaptive.memo)
+    adaptive.session.plan(workload.plan)
     changes.foreign(paths["adaptive"])
     adaptive.store.ingest(changes.local)
     invalidations.clear()
@@ -187,7 +187,7 @@ def test_three_entry_points_evict_the_same_entries(
         workload.params,
         store=StatisticsStore.open(paths["midquery"]),
     )
-    controller.optimizer.optimize(workload.plan, memo=controller.memo)
+    controller.session.plan(workload.plan)
     controller._run_id = changes.boundary["run_id"]
     changes.foreign(paths["midquery"])
     invalidations.clear()
