@@ -21,8 +21,14 @@ from functools import cache
 from pathlib import Path
 
 from repro.core import AnnotationMode, Catalog
-from repro.core.plan import Node, signature_key
-from repro.optimizer import CostParams, Hints, Optimizer
+from repro.core.plan import Node, body, signature_key
+from repro.optimizer import (
+    CostParams,
+    Hints,
+    Optimizer,
+    PlanContext,
+    enumerate_flows,
+)
 from repro.workloads import (
     build_clickstream,
     build_q7,
@@ -68,7 +74,20 @@ class Space:
 
 @cache
 def space(name: str) -> Space:
-    """Build (once per process) one of :data:`SPACE_NAMES`."""
+    """Build (once per process) one of :data:`SPACE_NAMES`.
+
+    The space is enumerated once, capped at its frozen ``plan_count``:
+    a swap rule that generates too many alternatives raises
+    ``OptimizationError`` here instead of growing every test that
+    enumerates the space without bound.
+    """
+    sp = _build(name)
+    ctx = PlanContext(sp.catalog, sp.mode)
+    enumerate_flows(body(sp.plan), ctx, limit=frozen(name)["plan_count"])
+    return sp
+
+
+def _build(name: str) -> Space:
     if name == "stress":
         plan, catalog, hints = build_stress()
         return Space(
@@ -104,7 +123,8 @@ def frozen(name: str) -> dict:
 def _freeze() -> None:
     FIXTURES.mkdir(parents=True, exist_ok=True)
     for name in SPACE_NAMES:
-        result = space(name).optimizer().optimize(space(name).plan)
+        sp = _build(name)
+        result = sp.optimizer().optimize(sp.plan)
         limit = STRESS_RANKS if name == "stress" else None
         # One ranked plan per line keeps fixture diffs readable.
         rows = ",\n".join(
