@@ -249,7 +249,11 @@ def join_flows(draw, kinds=BINARY_KINDS, all_sums=False, chained=False):
     it and derived uniqueness depends on where it sits.  With ``chained``
     a second Match joins a source ``e`` on the lower join's key ``t.f0``,
     ``e`` on either side: the shapes in which the upper join forwards the
-    lower one's partitioning through its left or its right key.
+    lower one's partitioning through its left or its right key.  Half
+    the time that key is ``d.k`` instead, which rotating the upper join
+    onto the fact side would leave unbound.  The operators above then
+    carry ``e``'s fields too, so an all-sums reduce stays independent of
+    record order.
     """
     catalog = Catalog()
     catalog.add_source("T", SourceStats(16))
@@ -277,20 +281,22 @@ def join_flows(draw, kinds=BINARY_KINDS, all_sums=False, chained=False):
         dim = node(reduce_op("agg_d", FieldMap(DIM), 0, all_sums), dim)
     join = binary_op(draw(st.sampled_from(kinds)))
     flow = node(join, fact, dim)
+    top = JOINED + EXTRA if chained else JOINED
     if chained:
         catalog.add_source("E", SourceStats(draw(st.sampled_from((4, 64)))))
         extra = node(Source("E", EXTRA))
         udf = binary_udf(concat_udf)
+        key = JOINED.index(draw(st.sampled_from((ATTRS[0], DIM[0]))))
         if draw(st.booleans()):
-            upper = MatchOp("join2", udf, FieldMap(JOINED), FieldMap(EXTRA), (0,), (0,))
+            upper = MatchOp("join2", udf, FieldMap(JOINED), FieldMap(EXTRA), (key,), (0,))
             flow = node(upper, flow, extra)
         else:
-            upper = MatchOp("join2", udf, FieldMap(EXTRA), FieldMap(JOINED), (0,), (0,))
+            upper = MatchOp("join2", udf, FieldMap(EXTRA), FieldMap(JOINED), (0,), (key,))
             flow = node(upper, extra, flow)
-    for op in maps("above", FieldMap(JOINED)):
+    for op in maps("above", FieldMap(top)):
         flow = node(op, flow)
     if draw(st.booleans()):
-        flow = node(reduce_op("agg_top", FieldMap(JOINED), 0, all_sums), flow)
+        flow = node(reduce_op("agg_top", FieldMap(top), 0, all_sums), flow)
     return flow, catalog
 
 
@@ -329,6 +335,28 @@ def mirrored(flow, twins):
     return Node(twin, children[::-1])
 
 
+@pytest.mark.parametrize("key", (ATTRS[0], DIM[0]))
+def test_a_chained_match_rotates_onto_the_side_of_its_key(key):
+    """``join2`` over ``join(T, D)`` moves below ``join`` onto the input
+    that holds its key, and never onto the other one.  The generated
+    oracles pass a rule that forbids every rotation: dropping
+    alternatives changes no result."""
+    catalog = Catalog()
+    for name in ("T", "D", "E"):
+        catalog.add_source(name, SourceStats(16))
+    catalog.declare_unique(DIM[0])
+    t, d, e = node(Source("T", ATTRS)), node(Source("D", DIM)), node(Source("E", EXTRA))
+    join = binary_op("match")
+    join2 = MatchOp(
+        "join2", binary_udf(concat_udf), FieldMap(JOINED), FieldMap(EXTRA),
+        (JOINED.index(key),), (0,),
+    )
+    closure = set(iter_flows(node(join2, node(join, t, d), e), PlanContext(catalog)))
+    onto_t = node(join, node(join2, t, e), d)
+    onto_d = node(join, t, node(join2, d, e))
+    assert (onto_t in closure, onto_d in closure) == (key in ATTRS, key in DIM)
+
+
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_mirroring_the_inputs_mirrors_the_closure(data):
@@ -349,8 +377,9 @@ def flows_with_data(draw):
     """A generated flow plus data honouring its catalog's declarations:
     ``d.k`` unique, and every fact key present in ``D``.  Its reduces
     sum every non-key position, so each output field is independent of
-    the order in which a group's records arrive."""
-    flow, catalog = draw(join_flows(all_sums=True))
+    the order in which a group's records arrive.  Half the flows are
+    chained, with ``E`` keys drawn from the same range."""
+    flow, catalog = draw(join_flows(all_sums=True, chained=draw(st.booleans())))
     small = st.integers(-3, 3)
     fact = draw(
         st.lists(
@@ -360,9 +389,13 @@ def flows_with_data(draw):
         )
     )
     dim_values = draw(st.lists(small, min_size=DIM_KEYS, max_size=DIM_KEYS))
+    extra = draw(
+        st.lists(st.tuples(st.integers(0, DIM_KEYS - 1), small), max_size=8)
+    )
     data = {
         "T": [dict(zip(ATTRS, row)) for row in fact],
         "D": [{DIM[0]: k, DIM[1]: v} for k, v in enumerate(dim_values)],
+        "E": [dict(zip(EXTRA, row)) for row in extra],
     }
     return flow, catalog, data
 
