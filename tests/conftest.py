@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
+import linecache
 import random
 
 import pytest
+from hypothesis import note
+from hypothesis.control import currently_in_test_context
 
 from repro.core import (
     Catalog,
@@ -53,6 +57,27 @@ def simple_catalog(*source_rows: tuple[str, int]) -> Catalog:
     for name, rows in source_rows:
         catalog.add_source(name, SourceStats(row_count=rows))
     return catalog
+
+
+_GENERATED_UDFS = itertools.count()
+
+
+def compile_udf(source: str):
+    """The one function that generated Python ``source`` defines.
+
+    Each source compiles under a file name of its own, registered with
+    ``linecache`` so a traceback shows the UDF's lines.  Inside a
+    hypothesis test the source is also noted, so a failing example
+    prints the UDF it ran.
+    """
+    filename = f"<generated-udf-{next(_GENERATED_UDFS)}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace: dict = {}
+    exec(compile(source, filename, "exec"), namespace)
+    (fn,) = (value for name, value in namespace.items() if name != "__builtins__")
+    if currently_in_test_context():
+        note(source)
+    return fn
 
 
 def random_rows(attributes, count, seed=0, lo=-10, hi=10):

@@ -55,12 +55,14 @@ from repro.core.plan import Node, body as plan_body
 from repro.engine import Engine
 from repro.optimizer import Memo, Optimizer, PlanContext, iter_flows
 from repro.sca import parse_tac
-from tests.conftest import concat_udf
+from tests.conftest import compile_udf, concat_udf
 from tests.optimizer.spaces import SPACE_NAMES, space
 from tests.optimizer.test_reorder_soundness import (
     ATTRS,
     SUM_REDUCE,
-    map_udf_texts,
+    map_udf_source,
+    map_udf_text,
+    sum_reduce,
 )
 
 
@@ -210,9 +212,25 @@ def sum_reduce_text(width: int) -> str:
     return "\n".join(lines)
 
 
-def reduce_op(name, field_map, key_position, all_sums):
-    text = sum_reduce_text(len(field_map)) if all_sums else SUM_REDUCE
-    return ReduceOp(name, reduce_udf(parse_tac(text)), field_map, (key_position,))
+def sum_reduce_source(width: int) -> str:
+    """``sum_reduce_text`` as Python source."""
+    lines = ["def agg(recs, out):"]
+    lines += [f"s{p} = 0" for p in range(1, width)]
+    lines.append("for r in recs:")
+    lines += [f"    s{p} = s{p} + r.get_field({p})" for p in range(1, width)]
+    lines.append("o = recs[0].copy()")
+    lines += [f"o.set_field({p}, s{p})" for p in range(1, width)]
+    lines.append("out.emit(o)")
+    return "\n    ".join(lines) + "\n"
+
+
+def reduce_op(name, field_map, key_position, all_sums, python=False):
+    if python:
+        fn = compile_udf(sum_reduce_source(len(field_map))) if all_sums else sum_reduce
+    else:
+        text = sum_reduce_text(len(field_map)) if all_sums else SUM_REDUCE
+        fn = parse_tac(text)
+    return ReduceOp(name, reduce_udf(fn), field_map, (key_position,))
 
 
 def cogroup_pairs(left_recs, right_recs, out):
@@ -236,8 +254,7 @@ def binary_op(kind):
     )
 
 
-@st.composite
-def join_flows(draw, kinds=BINARY_KINDS, all_sums=False, chained=False):
+def join_flow(draw, kinds=BINARY_KINDS, all_sums=False, chained=False, python=False):
     """Random maps and sum-reduces around a Match, Cross or CoGroup.
 
     A reduce sums position 1 (``SUM_REDUCE``), or with ``all_sums`` every
@@ -265,20 +282,27 @@ def join_flows(draw, kinds=BINARY_KINDS, all_sums=False, chained=False):
         )
 
     def maps(prefix, field_map):
-        texts = draw(st.lists(map_udf_texts(), max_size=2))
         return [
-            MapOp(f"{prefix}{i}", map_udf(parse_tac(t)), field_map)
-            for i, t in enumerate(texts)
+            MapOp(
+                f"{prefix}{i}",
+                map_udf(
+                    compile_udf(map_udf_source(draw))
+                    if python
+                    else parse_tac(map_udf_text(draw))
+                ),
+                field_map,
+            )
+            for i in range(draw(st.integers(0, 2)))
         ]
 
     fact = node(Source("T", ATTRS))
     for op in maps("below", FieldMap(ATTRS)):
         fact = node(op, fact)
     if draw(st.booleans()):
-        fact = node(reduce_op("agg_t", FieldMap(ATTRS), 0, all_sums), fact)
+        fact = node(reduce_op("agg_t", FieldMap(ATTRS), 0, all_sums, python), fact)
     dim = node(Source("D", DIM))
     if draw(st.booleans()):
-        dim = node(reduce_op("agg_d", FieldMap(DIM), 0, all_sums), dim)
+        dim = node(reduce_op("agg_d", FieldMap(DIM), 0, all_sums, python), dim)
     join = binary_op(draw(st.sampled_from(kinds)))
     flow = node(join, fact, dim)
     top = JOINED + EXTRA if chained else JOINED
@@ -296,8 +320,11 @@ def join_flows(draw, kinds=BINARY_KINDS, all_sums=False, chained=False):
     for op in maps("above", FieldMap(top)):
         flow = node(op, flow)
     if draw(st.booleans()):
-        flow = node(reduce_op("agg_top", FieldMap(top), 0, all_sums), flow)
+        flow = node(reduce_op("agg_top", FieldMap(top), 0, all_sums, python), flow)
     return flow, catalog
+
+
+join_flows = st.composite(join_flow)
 
 
 @pytest.mark.parametrize("kind", BINARY_KINDS)

@@ -35,8 +35,7 @@ ATTRS = attrs(*(f"t.f{i}" for i in range(WIDTH)))
 FMAP = FieldMap(ATTRS)
 
 
-@st.composite
-def map_udf_texts(draw) -> str:
+def map_udf_text(draw) -> str:
     """Small random Map UDFs: optional filter, optional field rewrites."""
     lines = ["f(InputRecord $ir):"]
     guard_pos = draw(st.one_of(st.none(), st.integers(0, WIDTH - 1)))
@@ -56,6 +55,32 @@ def map_udf_texts(draw) -> str:
     return "\n".join(lines)
 
 
+map_udf_texts = st.composite(map_udf_text)
+
+
+def map_udf_source(draw) -> str:
+    """Small random Map UDFs as Python source: optional filter, optional
+    field rewrites."""
+    lines = ["def f(ir, out):"]
+    guard_pos = draw(st.one_of(st.none(), st.integers(0, WIDTH - 1)))
+    if guard_pos is not None:
+        lines.append(f"g = ir.get_field({guard_pos})")
+        lines.append(f"if g < {draw(st.integers(-1, 1))}:")
+        lines.append("    return")
+    lines.append("r = ir.copy()")
+    for i in range(draw(st.integers(0, 2))):
+        pos = draw(st.integers(0, WIDTH - 1))
+        src = draw(st.integers(0, WIDTH - 1))
+        lines.append(f"v{i} = ir.get_field({src})")
+        lines.append(f"w{i} = v{i} + {draw(st.integers(1, 3))}")
+        lines.append(f"r.set_field({pos}, w{i})")
+    lines.append("out.emit(r)")
+    return "\n    ".join(lines) + "\n"
+
+
+map_udf_sources = st.composite(map_udf_source)
+
+
 SUM_REDUCE = """
 agg($recs):
     $sum := 0
@@ -72,6 +97,16 @@ LD:
     emit($o)
     return
 """
+
+
+def sum_reduce(recs, out):
+    """Reduce summing position 1 of the group into its first record."""
+    total = 0
+    for r in recs:
+        total = total + r.get_field(1)
+    o = recs[0].copy()
+    o.set_field(1, total)
+    out.emit(o)
 
 
 def make_ctx():

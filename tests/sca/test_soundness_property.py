@@ -28,8 +28,7 @@ ATTRS = attrs(*(f"t.f{i}" for i in range(WIDTH)))
 FMAP = FieldMap(ATTRS)
 
 
-@st.composite
-def tac_udf_texts(draw) -> str:
+def tac_udf_text(draw) -> str:
     lines = ["f(InputRecord $ir):"]
     temps: list[str] = []
     for i in range(draw(st.integers(0, 3))):
@@ -61,6 +60,48 @@ def tac_udf_texts(draw) -> str:
     lines.append("SKIP:")
     lines.append("return")
     return "\n".join(lines)
+
+
+tac_udf_texts = st.composite(tac_udf_text)
+
+
+def udf_source(draw) -> str:
+    """A random Map UDF as Python source: 0-3 field reads, a copy or a
+    projection of the input, 0-3 writes (constant, read value, read
+    value plus one, or ``None``), maybe a filter on a read value, and
+    one or two emits."""
+    lines = ["def f(ir, out):"]
+    temps: list[str] = []
+    for i in range(draw(st.integers(0, 3))):
+        pos = draw(st.integers(0, WIDTH - 1))
+        lines.append(f"g{i} = ir.get_field({pos})")
+        temps.append(f"g{i}")
+    ctor = draw(st.sampled_from(["copy", "new_record"]))
+    lines.append(f"r = ir.{ctor}()")
+    for i in range(draw(st.integers(0, 3))):
+        pos = draw(st.integers(0, WIDTH + 1))
+        kind = draw(st.integers(0, 3))
+        if kind == 0 or not temps:
+            value = draw(st.integers(-3, 3))
+        elif kind == 1:
+            value = draw(st.sampled_from(temps))
+        elif kind == 2:
+            lines.append(f"d{i} = {draw(st.sampled_from(temps))} + 1")
+            value = f"d{i}"
+        else:
+            value = None
+        lines.append(f"r.set_field({pos}, {value})")
+    if temps and draw(st.booleans()):
+        guard = draw(st.sampled_from(temps))
+        lines.append(f"if {guard} < {draw(st.integers(-2, 2))}:")
+        lines.append("    return")
+    lines.append("out.emit(r)")
+    if draw(st.booleans()):
+        lines.append("out.emit(r)")
+    return "\n    ".join(lines) + "\n"
+
+
+udf_sources = st.composite(udf_source)
 
 
 def run_udf(op: MapOp, values: dict) -> list[dict]:
