@@ -79,7 +79,7 @@ from .optimizer import (
     optimize,
     optimize_physical,
 )
-from .sca import analyze_udf, compile_to_tac, parse_tac
+from .sca import analyze_udf, compile_to_tac
 
 __version__ = "1.0.0"
 
@@ -135,7 +135,6 @@ __all__ = [
     "node",
     "optimize",
     "optimize_physical",
-    "parse_tac",
     "prefixed",
     "projected_approx_equal",
     "projected_equal",

@@ -5,8 +5,8 @@ in-memory data with no parallelism, no physical strategies, and no cost
 accounting.  The execution engine and all reordering tests are validated
 against it.
 
-The UDF invocation helpers here are also reused by the parallel engine so
-both execution paths share one record-API implementation.
+The operator application helpers here are also reused by the engine, so
+both execution paths call a UDF — a Python callable — the same way.
 """
 
 from __future__ import annotations
@@ -34,18 +34,8 @@ SourceData = dict[str, list[RawRecord]]
 def call_udf(op: UdfOperator, *record_args: Any) -> list[RawRecord]:
     """Invoke an operator's UDF with wrapped record arguments."""
     collector = Collector()
-    fn = op.udf.fn
-    if callable(fn):
-        fn(*record_args, collector)
-    else:
-        from ..sca.interp import execute_tac_udf  # TAC-authored UDFs
-
-        execute_tac_udf(fn, record_args, collector)
+    op.udf.fn(*record_args, collector)
     return collector.records()
-
-
-def _wrap(op: UdfOperator, input_index: int, row: RawRecord) -> InputRecord:
-    return InputRecord(row, op.input_maps[input_index], op.resolver)
 
 
 def _wrap_all(op: UdfOperator, input_index: int, rows: list[RawRecord]) -> list[InputRecord]:
@@ -77,11 +67,6 @@ def group_by(rows: list[RawRecord], key_attrs: tuple[Attribute, ...]) -> dict[tu
 
 def apply_map(op: MapOp, rows: list[RawRecord]) -> list[RawRecord]:
     fn = op.udf.fn
-    if not callable(fn):
-        out: list[RawRecord] = []
-        for row in rows:
-            out.extend(call_udf(op, _wrap(op, 0, row)))
-        return out
     # hot path: hoist the wrapper components and share one collector —
     # emissions only ever concatenate, so per-call collectors are pure
     # overhead (the record API seen by the UDF is unchanged)
@@ -102,13 +87,6 @@ def apply_reduce(op: ReduceOp, rows: list[RawRecord]) -> list[RawRecord]:
 
 def apply_cross(op: CrossOp, left: list[RawRecord], right: list[RawRecord]) -> list[RawRecord]:
     fn = op.udf.fn
-    if not callable(fn):
-        out: list[RawRecord] = []
-        for l_row in left:
-            l_rec = _wrap(op, 0, l_row)
-            for r_row in right:
-                out.extend(call_udf(op, l_rec, _wrap(op, 1, r_row)))
-        return out
     l_map, r_map = op.input_maps
     resolver = op.resolver
     collector = Collector()
@@ -123,16 +101,6 @@ def apply_match(op: MatchOp, left: list[RawRecord], right: list[RawRecord]) -> l
     right_index = group_by(right, op.right_key_attrs())
     left_keys = op.left_key_attrs()
     fn = op.udf.fn
-    if not callable(fn):
-        out: list[RawRecord] = []
-        for l_row in left:
-            matches = right_index.get(key_of(l_row, left_keys))
-            if not matches:
-                continue
-            l_rec = _wrap(op, 0, l_row)
-            for r_row in matches:
-                out.extend(call_udf(op, l_rec, _wrap(op, 1, r_row)))
-        return out
     # hot path: hoist the wrapper components and share one collector
     l_map, r_map = op.input_maps
     resolver = op.resolver

@@ -8,15 +8,14 @@ paper's prototype (Section 7.1):
 * the **static code analyzer** (SCA), which derives them from the UDF's
   bytecode (Python bytecode here; Java bytecode via Soot in the paper).
 
-The executable may be a plain Python callable (the normal case) or a parsed
-three-address-code function from :mod:`repro.sca.tac` (useful for tests and
-for reproducing the paper's Section 3 example verbatim).
+The executable is a Python callable; the engine and the reference
+evaluator call it directly, and the SCA analyzes its bytecode.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable
+from typing import Callable
 
 from .errors import UdfError
 from .properties import UdfProperties, conservative_properties
@@ -41,11 +40,13 @@ class Udf:
 
     def __init__(
         self,
-        fn: Callable | Any,
+        fn: Callable,
         param_kinds: tuple[ParamKind, ...],
         annotations: UdfProperties | None = None,
         name: str | None = None,
     ) -> None:
+        if not callable(fn):
+            raise UdfError(f"a UDF must be callable, not {type(fn).__name__}")
         if not param_kinds:
             raise UdfError("a UDF needs at least one record parameter")
         self.fn = fn

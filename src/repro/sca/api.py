@@ -10,7 +10,6 @@ from ..core.properties import UdfProperties, conservative_properties
 from ..core.udf import ParamKind
 from .analyzer import AnalysisEscape, analyze_tac
 from .pybytecode import compile_to_tac
-from .tac import TACFunction
 
 
 # A UDF's bytecode is immutable, so analysis is a pure function of the
@@ -27,10 +26,10 @@ _analysis_cache: "weakref.WeakKeyDictionary[Any, dict[tuple[ParamKind, ...], Udf
 def analyze_udf(fn: Any, param_kinds: tuple[ParamKind, ...]) -> UdfProperties:
     """Derive black-box properties for a UDF (Section 5).
 
-    Accepts either a plain Python function (translated from bytecode) or a
-    :class:`TACFunction`.  Never raises for unanalyzable code: the result
-    degrades to the conservative read-all/write-all properties, exactly as
-    the paper's safety argument requires.
+    The function's bytecode is translated to TAC and analyzed.  Never
+    raises for unanalyzable code: the result degrades to the conservative
+    read-all/write-all properties, exactly as the paper's safety argument
+    requires.
     """
     try:
         per_fn = _analysis_cache.get(fn)
@@ -48,10 +47,7 @@ def analyze_udf(fn: Any, param_kinds: tuple[ParamKind, ...]) -> UdfProperties:
 
 def _analyze_udf(fn: Any, param_kinds: tuple[ParamKind, ...]) -> UdfProperties:
     try:
-        if isinstance(fn, TACFunction):
-            return analyze_tac(fn, param_kinds)
-        tac_fn = compile_to_tac(fn, param_kinds)
-        return analyze_tac(tac_fn, param_kinds)
+        return analyze_tac(compile_to_tac(fn, param_kinds), param_kinds)
     except (UnsupportedBytecode, AnalysisEscape) as exc:
         return conservative_properties(str(exc))
     except AnalysisError as exc:

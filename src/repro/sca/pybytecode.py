@@ -97,7 +97,6 @@ class _Translator:
         self.tac: list[Instr] = []
         self.tac_index_of_offset: dict[int, int] = {}
         self.pending_jumps: list[tuple[int, int, str]] = []  # (tac_idx, offset, field)
-        self.env: dict[str, Callable] = {}
         self.depth_at: dict[int, int] = {}
         self.slot_ct: dict[int, _CT] = {}
         self.local_ct: dict[str, _CT] = {}
@@ -157,7 +156,6 @@ class _Translator:
         if _const_ok(value):
             return _CT("const", value=value)
         if callable(value):
-            self.env[name] = value
             return _CT("func", value=value, name=name)
         self._bail(f"global {name!r} is neither a constant nor a callable")
         raise AssertionError  # unreachable
@@ -238,9 +236,7 @@ class _Translator:
                 f"collector, found {n_params} parameters"
             )
         record_params = tuple(code.co_varnames[: n_params - 1])
-        return TACFunction(
-            self.fn.__name__, record_params, tuple(resolved), self.env
-        )
+        return TACFunction(self.fn.__name__, record_params, tuple(resolved))
 
     def _translate_one(self, instr: dis.Instruction) -> None:
         name = instr.opname

@@ -101,3 +101,10 @@ class TestUdf:
     def test_zero_params_rejected(self):
         with pytest.raises(UdfError):
             Udf(paper_f2, ())
+
+    def test_non_callable_rejected(self):
+        # At construction, not when a plan first calls it.
+        with pytest.raises(UdfError, match="callable"):
+            Udf("def f(rec, out): pass", (ParamKind.RECORD,))
+        with pytest.raises(UdfError, match="callable"):
+            map_udf(None)

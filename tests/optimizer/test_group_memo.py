@@ -24,6 +24,7 @@ to ``evaluate()`` of the original flow.
 """
 
 import math
+import random
 from datetime import timedelta
 from itertools import product
 
@@ -54,14 +55,11 @@ from repro.core import (
 from repro.core.plan import Node, body as plan_body
 from repro.engine import Engine
 from repro.optimizer import Memo, Optimizer, PlanContext, iter_flows
-from repro.sca import parse_tac
-from tests.conftest import compile_udf, concat_udf
+from tests.conftest import compile_udf, concat_udf, identity_udf, paper_f1, paper_f2
 from tests.optimizer.spaces import SPACE_NAMES, space
 from tests.optimizer.test_reorder_soundness import (
     ATTRS,
-    SUM_REDUCE,
-    map_udf_source,
-    map_udf_text,
+    map_udf_sources,
     sum_reduce,
 )
 
@@ -192,28 +190,15 @@ EXTRA = attrs("e.k", "e.w")
 BINARY_KINDS = ("match", "cross", "cogroup")
 
 
-def sum_reduce_text(width: int) -> str:
+def sum_reduce_source(width: int) -> str:
     """Reduce on position 0 summing every other position of the group.
 
     Sums do not depend on the order of a group's records, so the engine
     (which sees groups in shipped-partition order) and ``evaluate()``
     agree on every output field, not just on a projection.  It writes
-    every position, so it blocks more Map swaps than ``SUM_REDUCE``
+    every position, so it blocks more Map swaps than ``sum_reduce``
     does; only the execution test uses it.
     """
-    lines = ["agg($recs):"]
-    lines += [f"$s{p} := 0" for p in range(1, width)]
-    lines += ["$it := iter($recs)", "L0:", "$r := next($it) else LD"]
-    for p in range(1, width):
-        lines += [f"$v{p} := getField($r, {p})", f"$s{p} := $s{p} + $v{p}"]
-    lines += ["goto L0", "LD:", "$first := getitem($recs, 0)", "$o := copy($first)"]
-    lines += [f"setField($o, {p}, $s{p})" for p in range(1, width)]
-    lines += ["emit($o)", "return"]
-    return "\n".join(lines)
-
-
-def sum_reduce_source(width: int) -> str:
-    """``sum_reduce_text`` as Python source."""
     lines = ["def agg(recs, out):"]
     lines += [f"s{p} = 0" for p in range(1, width)]
     lines.append("for r in recs:")
@@ -224,12 +209,8 @@ def sum_reduce_source(width: int) -> str:
     return "\n    ".join(lines) + "\n"
 
 
-def reduce_op(name, field_map, key_position, all_sums, python=False):
-    if python:
-        fn = compile_udf(sum_reduce_source(len(field_map))) if all_sums else sum_reduce
-    else:
-        text = sum_reduce_text(len(field_map)) if all_sums else SUM_REDUCE
-        fn = parse_tac(text)
+def reduce_op(name, field_map, key_position, all_sums):
+    fn = compile_udf(sum_reduce_source(len(field_map))) if all_sums else sum_reduce
     return ReduceOp(name, reduce_udf(fn), field_map, (key_position,))
 
 
@@ -254,10 +235,11 @@ def binary_op(kind):
     )
 
 
-def join_flow(draw, kinds=BINARY_KINDS, all_sums=False, chained=False, python=False):
+@st.composite
+def join_flows(draw, kinds=BINARY_KINDS, all_sums=False, chained=False):
     """Random maps and sum-reduces around a Match, Cross or CoGroup.
 
-    A reduce sums position 1 (``SUM_REDUCE``), or with ``all_sums`` every
+    A reduce sums position 1 (``sum_reduce``), or with ``all_sums`` every
     position but the key.  The fact side ``t`` carries 0-2 random maps and maybe a reduce on the
     join key; the dimension side ``d`` (unique on ``d.k``, maybe totally
     referenced) maybe a reduce; above the binary operator come 0-2 more
@@ -282,27 +264,20 @@ def join_flow(draw, kinds=BINARY_KINDS, all_sums=False, chained=False, python=Fa
         )
 
     def maps(prefix, field_map):
+        sources = draw(st.lists(map_udf_sources(), max_size=2))
         return [
-            MapOp(
-                f"{prefix}{i}",
-                map_udf(
-                    compile_udf(map_udf_source(draw))
-                    if python
-                    else parse_tac(map_udf_text(draw))
-                ),
-                field_map,
-            )
-            for i in range(draw(st.integers(0, 2)))
+            MapOp(f"{prefix}{i}", map_udf(compile_udf(source)), field_map)
+            for i, source in enumerate(sources)
         ]
 
     fact = node(Source("T", ATTRS))
     for op in maps("below", FieldMap(ATTRS)):
         fact = node(op, fact)
     if draw(st.booleans()):
-        fact = node(reduce_op("agg_t", FieldMap(ATTRS), 0, all_sums, python), fact)
+        fact = node(reduce_op("agg_t", FieldMap(ATTRS), 0, all_sums), fact)
     dim = node(Source("D", DIM))
     if draw(st.booleans()):
-        dim = node(reduce_op("agg_d", FieldMap(DIM), 0, all_sums, python), dim)
+        dim = node(reduce_op("agg_d", FieldMap(DIM), 0, all_sums), dim)
     join = binary_op(draw(st.sampled_from(kinds)))
     flow = node(join, fact, dim)
     top = JOINED + EXTRA if chained else JOINED
@@ -320,11 +295,8 @@ def join_flow(draw, kinds=BINARY_KINDS, all_sums=False, chained=False, python=Fa
     for op in maps("above", FieldMap(top)):
         flow = node(op, flow)
     if draw(st.booleans()):
-        flow = node(reduce_op("agg_top", FieldMap(top), 0, all_sums, python), flow)
+        flow = node(reduce_op("agg_top", FieldMap(top), 0, all_sums), flow)
     return flow, catalog
-
-
-join_flows = st.composite(join_flow)
 
 
 @pytest.mark.parametrize("kind", BINARY_KINDS)
@@ -427,14 +399,54 @@ def flows_with_data(draw):
     return flow, catalog, data
 
 
+def check_executes_like_evaluate(flow, catalog, data):
+    """Each ranked alternative's physical plan returns ``evaluate(flow)``;
+    returns how many alternatives ran."""
+    want = evaluate(flow, data)
+    engine = Engine()  # the optimizer's default CostParams, as planned
+    ranked = Optimizer(catalog).optimize(flow).ranked
+    for plan in ranked:
+        got = engine.execute(plan.physical, data).records
+        assert datasets_equal(got, want), plan.body
+    return len(ranked)
+
+
 @settings(max_examples=100, deadline=timedelta(seconds=10))
 @given(flows_with_data())
 def test_every_alternative_executes_like_evaluate(case):
     """Theorems 1–4 through the physical engine: each enumerated
     alternative's chosen physical plan returns ``evaluate(flow)``."""
-    flow, catalog, data = case
-    want = evaluate(flow, data)
-    engine = Engine()  # the optimizer's default CostParams, as planned
-    for plan in Optimizer(catalog).optimize(flow).ranked:
-        got = engine.execute(plan.physical, data).records
-        assert datasets_equal(got, want), plan.body
+    check_executes_like_evaluate(*case)
+
+
+def test_the_widest_generated_shape_executes_like_evaluate():
+    """The largest unchained shape ``flows_with_data`` draws,
+    ``agg_top(above1(above0(join(agg_t(below1(below0(T))), agg_d(D)))))``
+    around a Match, over 13 ``T`` rows, with the paper's f1 (a rewrite)
+    and f2 (a filter) below the join and f1 and a copy above it: each of
+    its 657 alternatives executes like ``evaluate()``.  With four copy
+    maps, the generator's shrink target, the same shape has 12,096."""
+    catalog = Catalog()
+    catalog.add_source("T", SourceStats(16))
+    catalog.add_source("D", SourceStats(DIM_KEYS))
+    catalog.declare_unique(DIM[0])
+    catalog.declare_reference((ATTRS[0],), (DIM[0],), total=True)
+    top = FieldMap(JOINED)
+    fact = node(Source("T", ATTRS))
+    for name, fn in (("below0", paper_f1), ("below1", paper_f2)):
+        fact = node(MapOp(name, map_udf(fn), FieldMap(ATTRS)), fact)
+    fact = node(reduce_op("agg_t", FieldMap(ATTRS), 0, True), fact)
+    dim = node(reduce_op("agg_d", FieldMap(DIM), 0, True), node(Source("D", DIM)))
+    flow = node(binary_op("match"), fact, dim)
+    for name, fn in (("above0", paper_f1), ("above1", identity_udf)):
+        flow = node(MapOp(name, map_udf(fn), top), flow)
+    flow = node(reduce_op("agg_top", top, 0, True), flow)
+    rng = random.Random(13)
+    data = {
+        "T": [
+            dict(zip(ATTRS, (rng.randrange(DIM_KEYS), rng.randint(-3, 3), rng.randint(-3, 3))))
+            for _ in range(13)
+        ],
+        "D": [{DIM[0]: k, DIM[1]: rng.randint(-3, 3)} for k in range(DIM_KEYS)],
+    }
+    assert check_executes_like_evaluate(flow, catalog, data) == 657

@@ -28,37 +28,15 @@ from repro.core import (
     reduce_udf,
 )
 from repro.optimizer import PlanContext, enumerate_flows
-from repro.sca import parse_tac
+from tests.conftest import compile_udf
 
 WIDTH = 3
 ATTRS = attrs(*(f"t.f{i}" for i in range(WIDTH)))
 FMAP = FieldMap(ATTRS)
 
 
-def map_udf_text(draw) -> str:
-    """Small random Map UDFs: optional filter, optional field rewrites."""
-    lines = ["f(InputRecord $ir):"]
-    guard_pos = draw(st.one_of(st.none(), st.integers(0, WIDTH - 1)))
-    if guard_pos is not None:
-        lines.append(f"$g := getField($ir, {guard_pos})")
-        lines.append(f"if $g < {draw(st.integers(-1, 1))} goto SKIP")
-    lines.append("$or := copy($ir)")
-    for i in range(draw(st.integers(0, 2))):
-        pos = draw(st.integers(0, WIDTH - 1))
-        src = draw(st.integers(0, WIDTH - 1))
-        lines.append(f"$v{i} := getField($ir, {src})")
-        lines.append(f"$w{i} := $v{i} + {draw(st.integers(1, 3))}")
-        lines.append(f"setField($or, {pos}, $w{i})")
-    lines.append("emit($or)")
-    lines.append("SKIP:")
-    lines.append("return")
-    return "\n".join(lines)
-
-
-map_udf_texts = st.composite(map_udf_text)
-
-
-def map_udf_source(draw) -> str:
+@st.composite
+def map_udf_sources(draw) -> str:
     """Small random Map UDFs as Python source: optional filter, optional
     field rewrites."""
     lines = ["def f(ir, out):"]
@@ -76,27 +54,6 @@ def map_udf_source(draw) -> str:
         lines.append(f"r.set_field({pos}, w{i})")
     lines.append("out.emit(r)")
     return "\n    ".join(lines) + "\n"
-
-
-map_udf_sources = st.composite(map_udf_source)
-
-
-SUM_REDUCE = """
-agg($recs):
-    $sum := 0
-    $it := iter($recs)
-L0:
-    $r := next($it) else LD
-    $v := getField($r, 1)
-    $sum := $sum + $v
-    goto L0
-LD:
-    $first := getitem($recs, 0)
-    $o := copy($first)
-    setField($o, 1, $sum)
-    emit($o)
-    return
-"""
 
 
 def sum_reduce(recs, out):
@@ -125,11 +82,11 @@ def rows_from(ints):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    texts=st.lists(map_udf_texts(), min_size=2, max_size=3),
+    sources=st.lists(map_udf_sources(), min_size=2, max_size=3),
     ints=st.lists(st.integers(-3, 3), min_size=WIDTH, max_size=WIDTH * 6),
 )
-def test_all_enumerated_map_chains_equivalent(texts, ints):
-    ops = [MapOp(f"m{i}", map_udf(parse_tac(t)), FMAP) for i, t in enumerate(texts)]
+def test_all_enumerated_map_chains_equivalent(sources, ints):
+    ops = [MapOp(f"m{i}", map_udf(compile_udf(s)), FMAP) for i, s in enumerate(sources)]
     flow = chain(Source("T", ATTRS), *ops)
     ctx = make_ctx()
     alternatives = enumerate_flows(flow, ctx)
@@ -141,12 +98,12 @@ def test_all_enumerated_map_chains_equivalent(texts, ints):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    text=map_udf_texts(),
+    source=map_udf_sources(),
     ints=st.lists(st.integers(-3, 3), min_size=WIDTH, max_size=WIDTH * 6),
 )
-def test_map_reduce_reorderings_equivalent(text, ints):
-    m = MapOp("m", map_udf(parse_tac(text)), FMAP)
-    r = ReduceOp("agg", reduce_udf(parse_tac(SUM_REDUCE)), FMAP, (0,))
+def test_map_reduce_reorderings_equivalent(source, ints):
+    m = MapOp("m", map_udf(compile_udf(source)), FMAP)
+    r = ReduceOp("agg", reduce_udf(sum_reduce), FMAP, (0,))
     flow = chain(Source("T", ATTRS), m, r)
     ctx = make_ctx()
     alternatives = enumerate_flows(flow, ctx)
@@ -158,11 +115,11 @@ def test_map_reduce_reorderings_equivalent(text, ints):
 
 
 @settings(max_examples=40, deadline=None)
-@given(texts=st.lists(map_udf_texts(), min_size=2, max_size=2))
-def test_swap_legality_is_symmetric(texts):
+@given(sources=st.lists(map_udf_sources(), min_size=2, max_size=2))
+def test_swap_legality_is_symmetric(sources):
     """If m over n may swap, the swapped plan must offer the inverse swap."""
     ctx = make_ctx()
-    ops = [MapOp(f"m{i}", map_udf(parse_tac(t)), FMAP) for i, t in enumerate(texts)]
+    ops = [MapOp(f"m{i}", map_udf(compile_udf(s)), FMAP) for i, s in enumerate(sources)]
     flow = chain(Source("T", ATTRS), *ops)
     alternatives = enumerate_flows(flow, ctx)
     from repro.core import signature

@@ -1,9 +1,10 @@
 """Property-based soundness of the static analyzer (Section 5).
 
 The paper's safety argument: discovered property sets are *supersets* of
-the true properties for any input.  We generate random TAC UDFs, run them
-on random records, and check every observable behavior against the
-analysis:
+the true properties for any input.  We generate random Python UDFs, which
+reach the analyzer through the bytecode front-end like every real UDF,
+run them on random records, and check every observable behavior against
+the analysis:
 
 * emit counts lie within the derived bounds;
 * any observed value change or drop of an input field is covered by the
@@ -21,51 +22,16 @@ from hypothesis import strategies as st
 from repro.core import AnnotationMode, Collector, FieldMap, InputRecord, attrs, map_udf
 from repro.core.operators import MapOp
 from repro.core.udf import ParamKind
-from repro.sca import execute_tac_udf, parse_tac
+from repro.sca import analyze_tac, compile_to_tac
+from tests.conftest import compile_udf
 
 WIDTH = 4
 ATTRS = attrs(*(f"t.f{i}" for i in range(WIDTH)))
 FMAP = FieldMap(ATTRS)
 
 
-def tac_udf_text(draw) -> str:
-    lines = ["f(InputRecord $ir):"]
-    temps: list[str] = []
-    for i in range(draw(st.integers(0, 3))):
-        pos = draw(st.integers(0, WIDTH - 1))
-        lines.append(f"$g{i} := getField($ir, {pos})")
-        temps.append(f"$g{i}")
-    ctor = draw(st.sampled_from(["copy", "newrec"]))
-    lines.append(f"$or := {ctor}($ir)")
-    for i in range(draw(st.integers(0, 3))):
-        pos = draw(st.integers(0, WIDTH + 1))
-        kind = draw(st.integers(0, 3))
-        if kind == 0 or not temps:
-            lines.append(f"setField($or, {pos}, {draw(st.integers(-3, 3))})")
-        elif kind == 1:
-            lines.append(f"setField($or, {pos}, {draw(st.sampled_from(temps))})")
-        elif kind == 2:
-            t = draw(st.sampled_from(temps))
-            lines.append(f"$d{i} := {t} + 1")
-            lines.append(f"setField($or, {pos}, $d{i})")
-        else:
-            lines.append(f"setField($or, {pos}, null)")
-    if temps and draw(st.booleans()):
-        guard = draw(st.sampled_from(temps))
-        threshold = draw(st.integers(-2, 2))
-        lines.append(f"if {guard} < {threshold} goto SKIP")
-    lines.append("emit($or)")
-    if draw(st.booleans()):
-        lines.append("emit($or)")
-    lines.append("SKIP:")
-    lines.append("return")
-    return "\n".join(lines)
-
-
-tac_udf_texts = st.composite(tac_udf_text)
-
-
-def udf_source(draw) -> str:
+@st.composite
+def udf_sources(draw) -> str:
     """A random Map UDF as Python source: 0-3 field reads, a copy or a
     projection of the input, 0-3 writes (constant, read value, read
     value plus one, or ``None``), maybe a filter on a read value, and
@@ -101,13 +67,10 @@ def udf_source(draw) -> str:
     return "\n    ".join(lines) + "\n"
 
 
-udf_sources = st.composite(udf_source)
-
-
 def run_udf(op: MapOp, values: dict) -> list[dict]:
     collector = Collector()
     rec = InputRecord(values, FMAP, op.resolver)
-    execute_tac_udf(op.udf.fn, (rec,), collector)
+    op.udf.fn(rec, collector)
     return collector.records()
 
 
@@ -117,14 +80,13 @@ def record_values(draw_ints) -> dict:
 
 @settings(max_examples=120, deadline=None)
 @given(
-    text=tac_udf_texts(),
+    source=udf_sources(),
     base=st.lists(st.integers(-3, 3), min_size=WIDTH, max_size=WIDTH),
     flip_pos=st.integers(0, WIDTH - 1),
     flip_val=st.integers(-3, 3),
 )
-def test_analysis_covers_observed_behavior(text, base, flip_pos, flip_val):
-    fn = parse_tac(text)
-    op = MapOp("probe", map_udf(fn), FMAP)
+def test_analysis_covers_observed_behavior(source, base, flip_pos, flip_val):
+    op = MapOp("probe", map_udf(compile_udf(source)), FMAP)
     props = op.bound_props(AnnotationMode.SCA)
 
     values = record_values(base)
@@ -132,6 +94,7 @@ def test_analysis_covers_observed_behavior(text, base, flip_pos, flip_val):
 
     # 1. Emit bounds hold.
     raw = op.udf.properties(AnnotationMode.SCA)
+    assert not raw.is_conservative(), raw.notes
     assert raw.emit_bounds.contains(len(outputs)), (
         f"emitted {len(outputs)} outside bounds {raw.emit_bounds}"
     )
@@ -174,10 +137,10 @@ def test_analysis_covers_observed_behavior(text, base, flip_pos, flip_val):
 
 
 @settings(max_examples=60, deadline=None)
-@given(text=tac_udf_texts())
-def test_analysis_is_deterministic(text):
-    fn = parse_tac(text)
+@given(source=udf_sources())
+def test_analysis_is_deterministic(source):
+    fn = compile_udf(source)
     kinds = (ParamKind.RECORD,)
-    from repro.sca import analyze_tac
-
-    assert analyze_tac(fn, kinds) == analyze_tac(fn, kinds)
+    assert analyze_tac(compile_to_tac(fn, kinds), kinds) == analyze_tac(
+        compile_to_tac(fn, kinds), kinds
+    )

@@ -1,157 +1,89 @@
-"""TAC parser, CFG construction, reaching definitions, and chains."""
+"""CFG construction, reaching definitions, and chains over the TAC that
+the bytecode front-end makes of Python UDFs."""
 
-import pytest
+from repro.core.udf import ParamKind
+from repro.sca import ControlFlowGraph, build_chains, compile_to_tac, reaching_definitions
+from repro.sca.tac import Assign, Emit, GetField, IfFalse, Var
+from tests.conftest import paper_f2
 
-from repro.core import AnalysisError
-from repro.sca import ControlFlowGraph, build_chains, parse_tac, reaching_definitions
-from repro.sca.tac import (
-    BinOp,
-    CopyRec,
-    Emit,
-    GetField,
-    Goto,
-    IfTrue,
-    Return,
-    SetField,
-)
-
-F2_TEXT = """
-f2(InputRecord $ir):
-    $a := getField($ir, 0)
-    if $a < 0 goto L1
-    $or := copy($ir)
-    emit($or)
-L1:
-    return
-"""
-
-LOOP_TEXT = """
-loopy(InputRecord $recs):
-    $it := iter($recs)
-L0:
-    $r := next($it) else LEND
-    $or := copy($r)
-    emit($or)
-    goto L0
-LEND:
-    return
-"""
+REC = (ParamKind.RECORD,)
 
 
-class TestParser:
-    def test_paper_f2_shape(self):
-        fn = parse_tac(F2_TEXT)
-        kinds = [type(i) for i in fn.instructions]
-        assert kinds == [GetField, BinOp, IfTrue, CopyRec, Emit, Return]
-        branch = fn.instructions[2]
-        assert branch.target == 5  # L1 resolves to the return
+def loopy(recs, out):
+    for r in recs:
+        out.emit(r.copy())
 
-    def test_comparison_sugar_lowered(self):
-        fn = parse_tac(F2_TEXT)
-        compare = fn.instructions[1]
-        assert compare.op == "<"
 
-    def test_unknown_label_rejected(self):
-        with pytest.raises(AnalysisError):
-            parse_tac("f($r):\n    goto NOWHERE")
+def f2_tac():
+    return compile_to_tac(paper_f2, REC)
 
-    def test_operand_kinds(self):
-        fn = parse_tac(
-            """
-            f($r):
-                $x := 3
-                $y := 'abc'
-                $z := true
-                $n := null
-                return
-            """
-        )
-        values = [i.value for i in fn.instructions[:4]]
-        assert values == [3, "abc", True, None]
 
-    def test_setfield_and_arith(self):
-        fn = parse_tac(
-            """
-            f($r):
-                $a := getField($r, 1)
-                $b := $a * 2
-                $o := copy($r)
-                setField($o, 1, $b)
-                emit($o)
-                return
-            """
-        )
-        assert isinstance(fn.instructions[3], SetField)
+def first_index(fn, predicate):
+    return next(i for i, ins in enumerate(fn.instructions) if predicate(ins))
 
-    def test_malformed_statement(self):
-        with pytest.raises(AnalysisError):
-            parse_tac("f($r):\n    frobnicate everything")
 
-    def test_goto(self):
-        fn = parse_tac("f($r):\nL:\n    goto L")
-        assert isinstance(fn.instructions[0], Goto)
-        assert fn.instructions[0].target == 0
+def block_of(cfg, index):
+    return next(b.index for b in cfg.blocks if index in b.instruction_indices())
 
 
 class TestCFG:
     def test_blocks_of_f2(self):
-        cfg = ControlFlowGraph(parse_tac(F2_TEXT))
-        # blocks: [get,cmp,if] [copy,emit] [return]
+        fn = f2_tac()
+        cfg = ControlFlowGraph(fn)
+        # blocks: [get, cmp, if] [return] [copy, emit, return]
         assert len(cfg.blocks) == 3
         assert cfg.blocks[0].successors == [1, 2]
-        assert cfg.blocks[1].successors == [2]
-        assert cfg.exit_blocks == [2]
+        assert cfg.exit_blocks == [1, 2]
+        assert block_of(cfg, first_index(fn, lambda i: isinstance(i, Emit))) == 2
 
     def test_loop_has_back_edge(self):
-        cfg = ControlFlowGraph(parse_tac(LOOP_TEXT))
+        cfg = ControlFlowGraph(compile_to_tac(loopy, (ParamKind.RECORD_LIST,)))
         sccs = cfg.sccs()
         cyclic = [i for i in range(len(sccs)) if cfg.scc_is_cyclic(i)]
         assert len(cyclic) == 1
 
     def test_dominators(self):
-        cfg = ControlFlowGraph(parse_tac(F2_TEXT))
+        cfg = ControlFlowGraph(f2_tac())
         dom = cfg.dominators()
-        assert 0 in dom[1]  # entry dominates the emit block
-        assert 1 not in dom[2]  # the emit block does not dominate the exit
+        assert 0 in dom[2]  # entry dominates the emit block
+        assert 1 not in dom[2]  # the early return does not dominate the emit
 
     def test_instr_dominates_same_block(self):
-        cfg = ControlFlowGraph(parse_tac(F2_TEXT))
-        assert cfg.instr_dominates(0, 2)
-        assert not cfg.instr_dominates(2, 0)
+        fn = f2_tac()
+        cfg = ControlFlowGraph(fn)
+        get = first_index(fn, lambda i: isinstance(i, GetField))
+        branch = first_index(fn, lambda i: isinstance(i, IfFalse))
+        assert block_of(cfg, get) == block_of(cfg, branch)
+        assert cfg.instr_dominates(get, branch)
+        assert not cfg.instr_dominates(branch, get)
 
 
 class TestDataflow:
     def test_reaching_definitions(self):
-        fn = parse_tac(
-            """
-            f($r):
-                $x := 1
-                $y := getField($r, 0)
-                if $y goto L
-                $x := 2
-            L:
-                $z := $x + 0
-                return
-            """
-        )
-        cfg = ControlFlowGraph(fn)
-        reaching = reaching_definitions(cfg)
-        use_index = next(
-            i for i, ins in enumerate(fn.instructions) if isinstance(ins, BinOp) and ins.op == "+"
-        )
-        defs_of_x = {d for d in reaching.reach_in[use_index] if d[1] == "$x"}
-        assert len(defs_of_x) == 2  # both definitions of $x reach the join
+        def f(r, out):
+            x = 1
+            if r.get_field(0):
+                x = 2
+            o = r.copy()
+            o.set_field(1, x)
+            out.emit(o)
+
+        fn = compile_to_tac(f, REC)
+        reaching = reaching_definitions(ControlFlowGraph(fn))
+        use_index = first_index(fn, lambda i: isinstance(i, Assign) and i.src == Var("x"))
+        defs_of_x = {d for d in reaching.reach_in[use_index] if d[1] == "x"}
+        assert len(defs_of_x) == 2  # both definitions of x reach the join
 
     def test_chains(self):
-        fn = parse_tac(F2_TEXT)
-        cfg = ControlFlowGraph(fn)
-        chains = build_chains(cfg)
-        # $a defined at 0, used at 1 (the comparison)
-        assert chains.uses_of(0, "$a") == frozenset({1})
-        assert (0, "$a") in chains.defs_for(1, "$a")
+        fn = f2_tac()
+        chains = build_chains(ControlFlowGraph(fn))
+        # a is stored once and loaded once, for the comparison
+        define = first_index(fn, lambda i: isinstance(i, Assign) and i.dst == "a")
+        use = first_index(fn, lambda i: isinstance(i, Assign) and i.src == Var("a"))
+        assert chains.uses_of(define, "a") == frozenset({use})
+        assert (define, "a") in chains.defs_for(use, "a")
 
     def test_param_definitions_reach_uses(self):
-        fn = parse_tac(F2_TEXT)
-        chains = build_chains(ControlFlowGraph(fn))
-        defs = chains.defs_for(0, "$ir")
+        chains = build_chains(ControlFlowGraph(f2_tac()))
+        defs = chains.defs_for(0, "rec")
         assert any(idx < 0 for idx, _ in defs)  # parameter pseudo-definition
