@@ -197,7 +197,7 @@ def sum_reduce_source(width: int) -> str:
     (which sees groups in shipped-partition order) and ``evaluate()``
     agree on every output field, not just on a projection.  It writes
     every position, so it blocks more Map swaps than ``sum_reduce``
-    does; only the execution test uses it.
+    does; only the execution tests use it.
     """
     lines = ["def agg(recs, out):"]
     lines += [f"s{p} = 0" for p in range(1, width)]
