@@ -29,8 +29,9 @@ from repro.feedback import (
     ObservationCollector,
     StatisticsStore,
 )
-from repro.optimizer import Optimizer, PlanContext, iter_flows
+from repro.optimizer import Optimizer, PlanContext
 from repro.workloads import build_clickstream, build_q7, build_textmining
+from tests.optimizer.closure import iter_flows
 
 BUILDERS = {
     "tpch_q7": build_q7,

@@ -5,8 +5,10 @@ trees.  Everything guided planning returns rests on three properties
 pinned here, on the nine reference spaces and on hypothesis-generated
 Map/Reduce flows around a Match, Cross or CoGroup:
 
-* the set of trees extractable from the root cells equals
-  ``set(iter_flows(flow))`` and ``SearchStats.expanded`` is its size;
+* the set of trees extractable from the root cells equals the reference
+  closure ``set(iter_flows(flow))`` (:mod:`tests.optimizer.closure`) and
+  ``SearchStats.expanded`` is its size, and ``enumerate_flows`` lists
+  that closure once each, the flow first;
 * every member of a cell agrees with the others on the four facts a swap
   rule can read of a sub-flow (operator names, output attributes, unique
   keys, row preservation) — which is what lets one representative decide
@@ -54,8 +56,9 @@ from repro.core import (
 )
 from repro.core.plan import Node, body as plan_body
 from repro.engine import Engine
-from repro.optimizer import Memo, Optimizer, PlanContext, iter_flows
+from repro.optimizer import Memo, Optimizer, PlanContext, enumerate_flows
 from tests.conftest import compile_udf, concat_udf, identity_udf, paper_f1, paper_f2
+from tests.optimizer.closure import iter_flows
 from tests.optimizer.spaces import SPACE_NAMES, space
 from tests.optimizer.test_reorder_soundness import (
     ATTRS,
@@ -111,6 +114,23 @@ def test_reference_space_memo_is_the_closure(name):
     assert result.search_stats.expanded == memo.tree_count(
         memo.classes[optimizer.ctx.op_names(plan_body(sp.plan))].values()
     )
+
+
+def check_listing_is_the_closure(flow, ctx):
+    """The enumerator lists the reference closure: each tree once, the
+    flow first, as many trees as the memo's root cells stand for."""
+    listed = enumerate_flows(flow, ctx)
+    assert listed[0] is flow
+    assert len(listed) == len(set(listed))
+    assert set(listed) == set(iter_flows(flow, ctx))
+    memo = Memo(op_names=ctx.op_names)
+    assert len(listed) == memo.tree_count(memo.explore(flow, ctx))
+
+
+@pytest.mark.parametrize("name", SPACE_NAMES)
+def test_reference_space_listing_is_the_closure(name):
+    sp = space(name)
+    check_listing_is_the_closure(plan_body(sp.plan), sp.optimizer().ctx)
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -313,6 +333,13 @@ def test_generated_flow_memo_is_the_closure(kind, data):
     assert [(p.body, p.cost) for p in guided.ranked] == [
         (p.body, p.cost) for p in eager.ranked[:k]
     ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_generated_listing_is_the_closure(data):
+    flow, catalog = data.draw(join_flows(chained=data.draw(st.booleans())))
+    check_listing_is_the_closure(flow, PlanContext(catalog, AnnotationMode.SCA))
 
 
 def mirrored(flow, twins):

@@ -6,6 +6,8 @@ return exactly their first ``top_k`` entries — same plan, bit-equal cost,
 same physical plan — cold, when re-planning over a memo that was
 invalidated after a hint change, and over a memo the other search
 already filled (eager's closure and tree options, guided's cell tables).
+A memo that first explored another tree of the space ranks exactly as a
+cold one does.
 """
 
 import pytest
@@ -13,12 +15,16 @@ import pytest
 from repro.core.operators import UdfOperator
 from repro.core.plan import body as plan_body, iter_nodes
 from repro.optimizer import Hints
+from tests.optimizer.closure import iter_flows
 from tests.optimizer.spaces import STRESS_RANKS, SPACE_NAMES, entry, frozen, space
 
 TOP_KS = (1, 3, 10)
 #: Eager over the stress space costs 6 864 alternatives: left out of the
 #: mixed-memo tests, which run it twice.
 SMALL_SPACES = [n for n in SPACE_NAMES if n != "stress"]
+#: Spaces whose memo lists the flow's trees in an order that depends on
+#: which tree of the space the memo explored first.
+HISTORY_SPACES = ("tpch_q7-sca", "stress")
 
 
 def prefix(name, k):
@@ -95,3 +101,34 @@ def test_eager_over_guided_memo_matches_fixture(name):
     result = sp.optimizer().optimize(sp.plan, memo=memo)
     assert result.plan_count == frozen(name)["plan_count"]
     assert [entry(p) for p in result.ranked] == frozen(name)["ranking"]
+
+
+def explored_elsewhere(sp, optimizer):
+    """A memo that first explored the last tree of ``sp``'s closure."""
+    *_, other = iter_flows(plan_body(sp.plan), optimizer.ctx)
+    memo = optimizer.new_memo()
+    memo.explore(other, optimizer.ctx)
+    return memo
+
+
+def ranked(result):
+    return [(plan.body, plan.cost) for plan in result.ranked]
+
+
+@pytest.mark.parametrize("name", HISTORY_SPACES)
+def test_eager_ranking_is_independent_of_memo_history(name):
+    sp = space(name)
+    optimizer = sp.optimizer()
+    cold = optimizer.optimize(sp.plan)
+    warm = optimizer.optimize(sp.plan, memo=explored_elsewhere(sp, optimizer))
+    assert ranked(warm) == ranked(cold)
+
+
+@pytest.mark.parametrize("k", (1, 3))
+@pytest.mark.parametrize("name", HISTORY_SPACES)
+def test_guided_prefix_is_independent_of_memo_history(name, k):
+    sp = space(name)
+    optimizer = sp.optimizer(search="guided", top_k=k)
+    cold = optimizer.optimize(sp.plan)
+    warm = optimizer.optimize(sp.plan, memo=explored_elsewhere(sp, optimizer))
+    assert ranked(warm) == ranked(cold)
