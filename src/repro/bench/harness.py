@@ -116,7 +116,8 @@ def run_experiment(
     to the eager prefix — so the rank-interval pick protocol degenerates
     to executing that guaranteed prefix.  Guided search is for the
     serving path; the experiment protocols that need the full ranking
-    (feedback rounds, ``--all``) keep the eager default.
+    (feedback rounds, ``--all``) keep the eager default, and feedback
+    rounds refuse a ``top_k``.
 
     ``tracer`` (a :class:`repro.obs.Tracer`) threads wall-clock spans
     through the optimizer, the engine, and — under feedback rounds — the
@@ -124,11 +125,11 @@ def run_experiment(
     leaves every result bit-identical.
     """
     if feedback_rounds > 0 or stats_store is not None:
-        if search != "eager":
+        if search != "eager" or top_k is not None:
             raise OptimizationConfigError(
                 "feedback experiments need the full ranking (rank-of-pick "
-                "reporting); search='guided' is not supported with "
-                "feedback_rounds/stats_store"
+                "reporting); search='guided' and top_k are not supported "
+                "with feedback_rounds/stats_store"
             )
         return _run_feedback_experiment(
             workload, picks, mode, params, execute_all, feedback_rounds,

@@ -26,7 +26,7 @@ from pathlib import Path
 
 from .bench import render_figure, render_table, run_experiment
 from .core import AnnotationMode, body
-from .core.errors import FeedbackError
+from .core.errors import FeedbackError, OptimizationConfigError
 from .core.operators import UdfOperator
 from .core.plan import iter_nodes, render_tree
 from .feedback.midquery import DEFAULT_SWITCH_THRESHOLD
@@ -109,7 +109,7 @@ def cmd_experiment(args) -> int:
             top_k=args.top_k,
             tracer=tracer,
         )
-    except FeedbackError as exc:
+    except (FeedbackError, OptimizationConfigError) as exc:
         print(f"experiment failed: {exc}", file=sys.stderr)
         return 1
     print(render_figure(outcome, f"Experiment — {workload.name}"))
@@ -372,8 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
                 metavar="K",
                 help="number of top-ranked plans to produce (guided "
                 "extracts exactly this many; eager ranks everything then "
-                "trims). Default: 1 under --search guided, unlimited "
-                "under eager",
+                "trims; refused with --feedback-rounds). Default: 1 under "
+                "--search guided, unlimited under eager",
             )
             p.add_argument(
                 "--midquery",

@@ -45,7 +45,9 @@ from repro.core.errors import (
 from repro.core.plan import body as plan_body, iter_nodes
 from repro.core.operators import UdfOperator
 from repro.bench.harness import run_experiment
+from repro.cli import main
 from repro.engine import Engine
+from repro.feedback import StatisticsStore
 from repro.optimizer import Hints, Optimizer
 from tests.conftest import identity_udf, simple_catalog
 from tests.optimizer.spaces import SPACE_NAMES, entry, space
@@ -446,6 +448,23 @@ def test_guided_is_rejected_under_feedback_experiments():
     # the config error is a ValueError too
     with pytest.raises(ValueError):
         run_experiment(workload, feedback_rounds=1, search="guided")
+
+
+@pytest.mark.parametrize(
+    "store", [{"feedback_rounds": 1}, {"stats_store": StatisticsStore()}], ids=["rounds", "store"]
+)
+def test_top_k_is_rejected_under_feedback_experiments(store):
+    """Feedback rounds rank every plan: a ``top_k`` would be ignored, so it
+    is refused like guided search instead of returning the whole space."""
+    workload = WORKLOADS["textmining"]
+    with pytest.raises(OptimizationConfigError, match="top_k"):
+        run_experiment(workload, top_k=2, **store)
+
+
+def test_cli_refuses_top_k_under_feedback_rounds(capsys):
+    argv = ["experiment", "textmining", "--feedback-rounds", "1", "--top-k", "2"]
+    assert main(argv) == 1
+    assert "top_k" in capsys.readouterr().err
 
 
 def test_guided_runs_through_the_harness():
