@@ -4,9 +4,10 @@
 A data flow optimizer that reorders operators with *black box* user-defined
 functions: read/write sets are derived by static bytecode analysis
 (Section 5), reorderings follow the ROC/KGP conditions (Section 4), plans
-are enumerated by pairwise-reordering closure (Section 6), and a
-cost-based physical optimizer plus a simulated parallel engine reproduce
-the paper's experiments (Section 7).
+are enumerated through a memo of equivalent sub-flows closed under
+pairwise reorderings (Section 6), and a cost-based physical optimizer
+plus a simulated parallel engine reproduce the paper's experiments
+(Section 7).
 
 Quickstart::
 

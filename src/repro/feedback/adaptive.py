@@ -123,7 +123,7 @@ class AdaptiveOptimizer:
 
     Re-optimization is *incremental*: the loop plans through one
     :class:`~.session.PlanningSession`, whose memo — physical options,
-    estimates, and the enumerated closure — carries across rounds.  Each
+    estimates, and the explored cells — carries across rounds.  Each
     round starts with :meth:`~.session.PlanningSession.refresh`, which
     evicts only the dirty spine above the operators whose learned view
     changed since the last round planned (this loop's ingests and any

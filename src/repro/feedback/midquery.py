@@ -235,7 +235,7 @@ class MidQueryReoptimizer:
             if plan.body is flow:  # interned: structural equality is identity
                 return plan
         raise FeedbackError(
-            "running suffix missing from its own enumerated closure"
+            "running suffix missing from its own enumerated plan space"
         )  # pragma: no cover - enumeration always includes the input flow
 
     def _suffix_body(

@@ -8,11 +8,12 @@ The optimizer is built around *hash-consed* plans
 same object), which turns every plan-keyed table into an O(1) identity
 lookup.  Three layers exploit this:
 
-* **Enumeration** (:mod:`.enumeration`): the BFS closure keys its
-  seen-set on interned nodes, and per-subtree neighbor lists are
-  memoized — a subtree shared by hundreds of alternatives has its swap
-  legality checked once.  Rule outcomes themselves are cached in
-  :class:`.context.PlanContext` (``rule_cache``).
+* **Enumeration** (:mod:`.enumeration`, :meth:`.memo.Memo.explore`):
+  the swap rules fire on the group memo's *cells* of equivalent
+  sub-flows, never on whole trees, and a plan space is listed as a
+  product over cell expressions (:meth:`.memo.Memo.trees`) — the one
+  enumerator of both search strategies.  Rule outcomes themselves are
+  cached in :class:`.context.PlanContext` (``rule_cache``).
 * **Cardinality** (:mod:`.cardinality`): estimates are cached per
   interned node and record widths per output-attribute set, so the
   estimator does no repeated work across alternatives.
@@ -24,7 +25,7 @@ lookup.  Three layers exploit this:
 * **Group memo** (:mod:`.memo`, ``Optimizer(search="guided")``): the swap
   rules fire on *cells* of equivalent sub-flows instead of trees, each
   cell is costed once, and the top-k is extracted from the root cells —
-  eager's ranking prefix without building the closure.
+  eager's ranking prefix without listing the plan space.
 * **Incremental re-costing** (:mod:`.memo`): an explicit memo passed to
   ``Optimizer.optimize(memo=...)`` survives across calls and feedback
   rounds; ``Memo.invalidate(changed_ops)`` evicts only the dirty spine
@@ -40,7 +41,6 @@ from .enumeration import (
     count_alternatives,
     enum_alternatives_chain,
     enumerate_flows,
-    iter_flows,
 )
 from .memo import Memo
 from .optimizer import (
@@ -62,7 +62,6 @@ from .rules import (
     can_exchange_unary_binary,
     can_rotate,
     can_swap_unary_unary,
-    neighbors,
 )
 
 __all__ = [
@@ -87,11 +86,9 @@ __all__ = [
     "count_alternatives",
     "enum_alternatives_chain",
     "enumerate_flows",
-    "iter_flows",
     "kgp_kat",
     "kgp_map",
     "kgp_match_side",
-    "neighbors",
     "optimize",
     "optimize_physical",
     "roc",

@@ -4,8 +4,7 @@
 optimizer derives.  Hint-independent (legality only, never invalidated):
 the *cells* of the group memo — sets of equivalent sub-flows explored by
 firing the swap rules on cell expressions (:meth:`Memo.explore`) — plus
-record widths and, for the tree-at-a-time eager path, enumerated closures
-and neighbor lists.  Hint-dependent: the per-cell option tables,
+record widths.  Hint-dependent: the per-cell option tables,
 the per-tree options table, and the cardinality estimator's per-node
 cache (bound into the estimator via :meth:`Memo.bind`).
 
@@ -28,6 +27,7 @@ invalidation parity tests).
 from __future__ import annotations
 
 import math
+from itertools import product
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
@@ -129,12 +129,6 @@ class Memo:
         #: Output attribute set -> record width (catalog-derived, hence
         #: hint-independent: never invalidated).
         self.width_cache: dict[frozenset, float] = {}
-        #: Optimized flow -> its enumerated closure.  Swap legality does
-        #: not depend on hints, so re-optimization reuses the closure.
-        self.closures: dict[Node, tuple[Node, ...]] = {}
-        #: Interned node -> its legal single-swap neighbors (tree-level
-        #: enumeration; hint-independent, survives :meth:`invalidate`).
-        self.neighbors: dict[Node, tuple[Node, ...]] = {}
         #: The group memo's logical layer: ``classes`` maps an operator-
         #: name set to its cells by derived facts ``(out_attrs, unique_keys,
         #: row_preserving)``, ``exprs`` an expression ``(op, child cells)``
@@ -240,8 +234,8 @@ class Memo:
         (expression, input side, child expression), building cells, not
         trees: a rule reads nothing of a sub-flow beyond what its cell's
         members agree on, so each legality check reads ``cell.rep``.
-        The trees the returned cells stand for are exactly the closure
-        :func:`~repro.optimizer.enumeration.iter_flows` streams.
+        The trees the returned cells stand for are exactly the flows
+        reachable from ``flow`` by legal swaps (:meth:`trees` lists them).
         A memo serves one plan space: sub-flows over the same operators
         are taken to be reorderings of each other, so a known operator
         name arriving as a different operator object is refused.
@@ -336,6 +330,36 @@ class Memo:
 
         return sum(count(cell) for cell in cells)
 
+    def trees(self, flow: Node, ctx: PlanContext, limit: int = 1_000_000) -> list[Node]:
+        """Every tree of ``flow``'s plan space, each once, ``flow`` first.
+
+        The rest follow the cells' expression order, which depends on what
+        the memo explored before.  Raises :class:`OptimizationError` from
+        :meth:`tree_count`, before listing any, past ``limit`` trees.
+        """
+        roots = self.explore(flow, ctx)
+        count = self.tree_count(roots)
+        if count > limit:
+            raise OptimizationError(
+                f"enumeration exceeded {limit} alternatives ({count})"
+            )
+        members: dict[Cell, list[Node]] = {}
+
+        def listed(cell: Cell) -> list[Node]:
+            got = members.get(cell)
+            if got is None:
+                got = members[cell] = [
+                    Node(expr.op, children)
+                    for expr in cell.exprs
+                    for children in product(*map(listed, expr.children))
+                ]
+            return got
+
+        out = [flow]
+        for cell in roots:
+            out.extend(tree for tree in listed(cell) if tree is not flow)
+        return out
+
     # -- estimator binding -------------------------------------------------
 
     def bind(self, estimator: CardinalityEstimator) -> None:
@@ -400,8 +424,8 @@ class Memo:
         majority of a plan space's distinct sub-plans — stay cached.
         The per-tree options table, the estimate cache and the per-cell
         option tables are evicted (a cell is dirty iff its name set
-        contains a changed operator); widths, the cells themselves,
-        closures and neighbors are hint-independent and survive.
+        contains a changed operator); widths and the cells themselves are
+        hint-independent and survive.
         Returns the number of entries evicted.
         """
         victims = self._containing(frozenset(changed_ops))

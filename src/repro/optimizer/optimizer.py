@@ -5,32 +5,31 @@ properties (manual annotations or SCA), enumerate all valid reordered data
 flows, call the cost-based physical optimizer on each alternative, and
 rank the resulting execution plans by estimated cost.
 
-Two search strategies share that pipeline.  ``search="eager"`` (the
-reference) enumerates the closure tree by tree, costs every alternative
-and sorts.  ``search="guided"`` plans over the group memo
+Both search strategies enumerate through the group memo
 (:mod:`~repro.optimizer.memo`): the swap rules fire on *cells* of
-equivalent sub-flows, each cell is physically costed once, and the
-top-``k`` trees are extracted from the root cells — no tree of the
-closure is built except the ``k`` returned.  The two strategies return
+equivalent sub-flows.  ``search="eager"`` (the reference) lists every
+tree the root cells stand for, costs each and sorts.  ``search="guided"``
+costs each cell once and extracts the top-``k`` trees from the root
+cells — no tree of the space is built except the ``k`` returned.  Both
+order float-equal costs by :func:`tie_key`, so the two strategies return
 bit-identical plans for that prefix.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Callable
 
 from ..core.catalog import Catalog
 from ..core.errors import OptimizationConfigError, OptimizationError
-from ..core.plan import Node, body as plan_body, signature
+from ..core.plan import Node, body as plan_body, linearize, signature, signature_key
 from ..core.udf import AnnotationMode
 from ..obs.tracer import NOOP_TRACER, clock
 from .cardinality import CardinalityEstimator, Hints
 from .context import PlanContext
 from .cost import CostParams
-from .enumeration import iter_flows
 from .memo import Memo
 from .physical import PhysicalOptimizer, PhysNode
 
@@ -40,8 +39,7 @@ class SearchStats:
     """Work accounting for one :meth:`Optimizer.optimize` call.
 
     ``expanded`` counts the logical alternatives the search covered
-    (the trees the memo's root cells stand for under guided, the closure
-    under eager); ``costed`` counts alternatives whose physical
+    (the trees the memo's root cells stand for); ``costed`` counts alternatives whose physical
     plan was derived by the tree-level search; ``pruned`` is the rest;
     ``bounds_computed`` counts the cell option tables computed in this
     call (surviving ones are free); ``estimate_calls`` counts
@@ -135,7 +133,7 @@ class Optimizer:
 
     **Incremental re-costing.**  :meth:`optimize` accepts an explicit
     ``memo`` (see :meth:`new_memo`) whose surviving entries — options,
-    estimates, and the enumerated closure — are reused verbatim; after a
+    estimates, and the explored cells — are reused verbatim; after a
     hint or statistics change, call
     :meth:`~repro.optimizer.memo.Memo.invalidate` so the dirty spine
     above the changed operators is evicted first (the feedback layer's
@@ -148,8 +146,8 @@ class Optimizer:
     plans over the group memo (:meth:`_optimize_guided`): cells of
     equivalent sub-flows are explored and costed once each and the
     ``top_k`` cheapest trees extracted from the root cells — the
-    bit-identical top-``k`` eager would return, without building the
-    closure.  ``top_k`` trims eager's ranking the same way, so the two
+    bit-identical top-``k`` eager would return, without listing the
+    space.  ``top_k`` trims eager's ranking the same way, so the two
     strategies stay interchangeable.
 
     ``estimator_factory`` is the cardinality-estimation injection point:
@@ -204,7 +202,7 @@ class Optimizer:
     @property
     def _prefix(self) -> int | None:
         """Ranks to return: ``top_k``, else all (eager) or rank 1 (guided —
-        asked for everything it would have to cost the whole closure)."""
+        asked for everything it would have to cost the whole space)."""
         if self.top_k is None and self.search == "guided":
             return 1
         return self.top_k
@@ -222,8 +220,8 @@ class Optimizer:
     def optimize(self, plan: Node, memo: Memo | None = None) -> OptimizationResult:
         """Enumerate, cost, and rank every alternative of ``plan``.
 
-        With an explicit ``memo``, surviving entries (and the cached
-        closure) are reused and new entries are left in the memo for the
+        With an explicit ``memo``, surviving entries (and the explored
+        cells) are reused and new entries are left in the memo for the
         next call; the caller owns invalidation across hint changes.
         Without one, a fresh memo is used per call.
         """
@@ -263,42 +261,34 @@ class Optimizer:
     def _optimize_eager(
         self, flow: Node, memo: Memo | None, estimator: CardinalityEstimator
     ) -> tuple[list[RankedPlan], SearchStats, float, float]:
-        """The reference strategy: cost every candidate, sort, rank."""
+        """The reference strategy: list the space, cost every tree, sort."""
         tracer = self.tracer
         shared_memo = memo if memo is not None else self.new_memo()
         shared_memo.bind(estimator)
         t0 = clock()
         with tracer.span("optimizer.enumerate", category="optimizer") as enum_span:
-            # Swap legality is hint-independent: the cached closure
-            # survives invalidation.
-            closure = shared_memo.closures.get(flow)
-            if closure is None:
-                closure = shared_memo.closures[flow] = tuple(
-                    iter_flows(flow, self.ctx, neighbor_memo=shared_memo.neighbors)
-                )
-        enum_span.set(alternatives=len(closure))
+            alternatives = shared_memo.trees(flow, self.ctx)
+        enum_span.set(alternatives=len(alternatives))
         t1 = clock()
         physical_optimizer = PhysicalOptimizer(
             self.ctx, estimator, self.params, memo=shared_memo
         )
-        scored: list[tuple[float, Node, PhysNode]] = []
+        plans: dict[Node, PhysNode] = {}
         with tracer.span(
-            "optimizer.cost", category="optimizer", alternatives=len(closure)
+            "optimizer.cost", category="optimizer", alternatives=len(alternatives)
         ):
-            for alt in closure:
+            for alt in alternatives:
                 with tracer.span("optimizer.alternative", category="optimizer"):
-                    phys = physical_optimizer.optimize(alt)
-                scored.append((phys.cost_total, alt, phys))
+                    plans[alt] = physical_optimizer.optimize(alt)
         t2 = clock()
-        # Stable sort: equal-cost plans keep enumeration order.
-        scored.sort(key=lambda item: item[0])
+        costs = {alt: phys.cost_total for alt, phys in plans.items()}
         ranked = [
-            RankedPlan(rank=i + 1, body=alt, physical=phys)
-            for i, (_, alt, phys) in enumerate(scored)
+            RankedPlan(rank=i + 1, body=alt, physical=plans[alt])
+            for i, alt in enumerate(by_cost(costs, self._prefix))
         ]
-        ranked = ranked[: self._prefix]
         stats = SearchStats(
-            "eager", len(closure), len(closure), 0, 0, estimator.estimate_calls
+            "eager", len(alternatives), len(alternatives), 0, 0,
+            estimator.estimate_calls,
         )
         return ranked, stats, t1 - t0, t2 - t1
 
@@ -307,7 +297,7 @@ class Optimizer:
     ) -> tuple[list[RankedPlan], SearchStats, float, float]:
         """Plan over the group memo: explore cells, cost cells, extract k.
 
-        The closure is never built.  :meth:`Memo.explore` fires the swap
+        The space is never listed.  :meth:`Memo.explore` fires the swap
         rules on cell expressions, :meth:`PhysicalOptimizer.cell_options`
         costs each cell once keeping the ``k`` cheapest trees per option
         bucket, and the root cells' buckets merged by tree hold eager's
@@ -349,14 +339,13 @@ class Optimizer:
                             known = cheapest.get(option.logical)
                             if known is None or option.cost_total < known:
                                 cheapest[option.logical] = option.cost_total
-                order = sorted(cheapest, key=cheapest.__getitem__)
                 # A tree the tables left out is never cheaper than the k
                 # kept, but rounding can make it *tie* rank k: widen then.
-                if want >= expanded or lost > cheapest[order[k - 1]]:
+                if want >= expanded or lost > sorted(cheapest.values())[k - 1]:
                     break
                 want *= 2
             ranked = []
-            for alt in self._in_eager_order(flow, shared_memo, cheapest, order, k):
+            for alt in by_cost(cheapest, k):
                 with tracer.span("optimizer.alternative", category="optimizer"):
                     phys = physical_optimizer.optimize(alt)
                 if phys.cost_total != cheapest[alt]:
@@ -373,34 +362,30 @@ class Optimizer:
         )
         return ranked, stats, t1 - t0, t2 - t1
 
-    def _in_eager_order(
-        self, flow: Node, memo: Memo, cheapest: dict, order: list[Node], k: int
-    ) -> list[Node]:
-        """The ``k`` cheapest of ``order`` (sorted by cost), ranked as
-        eager's stable sort ranks them.
 
-        Eager orders by ``(cost, discovery index)``.  The index only
-        matters between trees of float-equal cost, among the first ``k``
-        or straddling rank ``k``; only then is the closure streamed, and
-        only until every tied tree has been seen.
-        """
-        if len(order) > k:
-            cut = cheapest[order[k - 1]]
-            order = [alt for alt in order if cheapest[alt] <= cut]
-        seen = Counter(cheapest[alt] for alt in order)
-        tied = {alt for alt in order if seen[cheapest[alt]] > 1}
-        if tied:
-            index: dict[Node, int] = {}
-            closure = memo.closures.get(flow) or iter_flows(
-                flow, self.ctx, neighbor_memo=memo.neighbors
-            )
-            for idx, alt in enumerate(closure):
-                if alt in tied:
-                    index[alt] = idx
-                    if len(index) == len(tied):
-                        break
-            order.sort(key=lambda alt: (cheapest[alt], index.get(alt, 0)))
-        return order[:k]
+def tie_key(tree: Node) -> tuple:
+    """The order of float-equal costs, read from the tree alone, so a
+    ranking does not depend on the order the space was listed in.  The
+    signature makes it total: ``linearize`` maps ``join(m(A), B)`` and
+    ``join(A, m(B))`` alike."""
+    return linearize(tree), signature_key(tree)
+
+
+def by_cost(costs: dict[Node, float], k: int | None) -> list[Node]:
+    """The ``k`` cheapest trees of ``costs`` (all if ``k`` is None),
+    float-equal costs ordered by :func:`tie_key`, which is computed only
+    for the trees inside such a tie."""
+    order = sorted(costs, key=costs.__getitem__)
+    if k is not None and len(order) > k:
+        kth = costs[order[k - 1]]
+        order = [tree for tree in order if costs[tree] <= kth]
+    ranked: list[Node] = []
+    for _, tied in groupby(order, key=costs.__getitem__):
+        tied = list(tied)
+        if len(tied) > 1:
+            tied.sort(key=tie_key)
+        ranked += tied
+    return ranked[:k]
 
 
 def optimize(

@@ -14,10 +14,8 @@ Three swap families cover every operator combination the paper proves:
 
 ``swaps`` is the one rule body: it fires all three families on an upper
 operator and the lower operator at one of its inputs, building results
-through a callback, so the same code swaps trees (``local_swaps``) and
-the group memo's cells (:meth:`~repro.optimizer.memo.Memo.explore`).
-``neighbors`` generates every plan reachable by one legal swap anywhere in
-the tree; the enumeration module computes the closure.
+through a callback — the group memo's cells
+(:meth:`~repro.optimizer.memo.Memo.explore`), or trees.
 """
 
 from __future__ import annotations
@@ -179,7 +177,7 @@ def _can_rotate(
 
 
 # ---------------------------------------------------------------------------
-# Neighbor generation
+# Firing the rules
 # ---------------------------------------------------------------------------
 
 
@@ -223,23 +221,3 @@ def swaps(
 def replace_at(items: tuple, i: int, item) -> tuple:
     """``items`` with position ``i`` holding ``item``."""
     return items[:i] + (item,) + items[i + 1 :]
-
-
-def local_swaps(node: Node, ctx: PlanContext) -> Iterator[Node]:
-    """All single swaps whose *upper* operator is this node's root."""
-    for side, child in enumerate(node.children):
-        yield from swaps(node.op, node.children, side, child, ctx, Node, _same)
-
-
-def _same(node: Node) -> Node:
-    return node
-
-
-def neighbors(node: Node, ctx: PlanContext) -> Iterator[Node]:
-    """Every plan reachable from ``node`` by exactly one legal swap."""
-    yield from local_swaps(node, ctx)
-    for i, child in enumerate(node.children):
-        for alt in neighbors(child, ctx):
-            new_children = list(node.children)
-            new_children[i] = alt
-            yield Node(node.op, tuple(new_children))

@@ -1,4 +1,4 @@
-"""Enumeration: closure BFS vs the paper's Algorithm 1; memoization; limits."""
+"""Enumeration: the memo's listing vs the paper's Algorithm 1; limits."""
 
 import pytest
 
@@ -171,6 +171,14 @@ class TestEnumerateFlows:
         flow = build_chain(*ops)
         with pytest.raises(OptimizationError):
             enumerate_flows(flow, ctx, limit=10)
+
+    def test_limit_is_checked_before_listing(self):
+        """The bound is read from the memo's tree count: 8 commuting maps
+        stand for 40 320 flows, refused without listing 1 001 of them."""
+        ctx = make_ctx()
+        ops = [annotated_map(f"m{i}", reads=(i % WIDTH,)) for i in range(8)]
+        with pytest.raises(OptimizationError, match=r"1000 alternatives \(40320\)"):
+            enumerate_flows(build_chain(*ops), ctx, limit=1000)
 
     def test_count_helper(self):
         ctx = make_ctx()

@@ -118,13 +118,16 @@ def test_reference_space_memo_is_the_closure(name):
 
 def check_listing_is_the_closure(flow, ctx):
     """The enumerator lists the reference closure: each tree once, the
-    flow first, as many trees as the memo's root cells stand for."""
-    listed = enumerate_flows(flow, ctx)
-    assert listed[0] is flow
-    assert len(listed) == len(set(listed))
-    assert set(listed) == set(iter_flows(flow, ctx))
+    flow first, as many trees as the memo's root cells stand for — also
+    from a memo that first explored the closure's last tree."""
+    closure = list(iter_flows(flow, ctx))
     memo = Memo(op_names=ctx.op_names)
-    assert len(listed) == memo.tree_count(memo.explore(flow, ctx))
+    memo.explore(closure[-1], ctx)
+    for listed in (enumerate_flows(flow, ctx), memo.trees(flow, ctx)):
+        assert listed[0] is flow
+        assert len(listed) == len(set(listed))
+        assert set(listed) == set(closure)
+        assert len(listed) == memo.tree_count(memo.explore(flow, ctx))
 
 
 @pytest.mark.parametrize("name", SPACE_NAMES)

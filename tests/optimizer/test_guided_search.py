@@ -12,8 +12,8 @@ are in ``test_ranking_fixtures.py``, the memo-is-the-closure property in
   float costs, same physical trees — across all four paper workloads,
   under random hint perturbations (hypothesis), and again after a
   dirty-spine ``Memo.invalidate`` + re-plan.
-* Float-equal costs are ranked in eager's discovery order, and the
-  closure is streamed for that only when such a tie sits in the answer.
+* Float-equal costs are ranked by a key read from the tree alone
+  (``tie_key``), computed only when such a tie sits in the answer.
 * The work counters (:class:`~repro.optimizer.optimizer.SearchStats`)
   account for the whole space while only ``k`` trees are planned tree
   by tree.
@@ -42,7 +42,7 @@ from repro.core.errors import (
     OptimizationConfigError,
     OptimizationError,
 )
-from repro.core.plan import body as plan_body, iter_nodes
+from repro.core.plan import body as plan_body, iter_nodes, linearize
 from repro.core.operators import UdfOperator
 from repro.bench.harness import run_experiment
 from repro.cli import main
@@ -253,7 +253,7 @@ def test_guided_top_k_beyond_space_returns_full_ranking():
     assert_prefix_identical(guided, eager, space)
 
 
-# -- float-equal costs: eager's discovery order -----------------------------
+# -- float-equal costs: the canonical tie key -------------------------------
 
 
 def filter_chain(hints_by_name):
@@ -283,9 +283,21 @@ TIED_FLOWS = {
 }
 
 
+#: Bottom-up operator order of each tied flow's ranking.
+CANONICAL_ORDERS = {
+    "twins": [("a", "b"), ("b", "a")],
+    "twins_and_one": [
+        ("a", "b", "c"), ("b", "a", "c"), ("a", "c", "b"),
+        ("b", "c", "a"), ("c", "a", "b"), ("c", "b", "a"),
+    ],
+}
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(TIED_FLOWS))
-def test_float_equal_costs_rank_in_eager_discovery_order(name, k):
+def test_float_equal_costs_rank_in_canonical_order(name, k):
+    """Float-equal trees rank by ``(linearize, signature_key)``, whatever
+    order the memo listed them in; guided ranks them alike."""
     hints = TIED_FLOWS[name]
     flow, catalog = filter_chain(hints)
     eager = Optimizer(catalog, hints, AnnotationMode.MANUAL).optimize(flow)
@@ -293,6 +305,7 @@ def test_float_equal_costs_rank_in_eager_discovery_order(name, k):
     assert costs[0] == costs[1]  # the tie is real
     if len(costs) > 2:
         assert costs[2] == costs[3] != costs[1]
+    assert [linearize(p.body) for p in eager.ranked] == CANONICAL_ORDERS[name]
     guided = Optimizer(
         catalog, hints, AnnotationMode.MANUAL, search="guided", top_k=k
     ).optimize(flow)
@@ -300,14 +313,14 @@ def test_float_equal_costs_rank_in_eager_discovery_order(name, k):
 
 
 @pytest.mark.parametrize("name", SPACE_NAMES)
-def test_closure_is_not_streamed_without_a_tie(name, monkeypatch):
+def test_no_tie_key_is_computed_without_a_tie(name, monkeypatch):
     """No float-equal costs at the top of the nine reference spaces: guided
-    must rank them without enumerating a single tree of the closure."""
+    must rank them without computing a single tie key."""
 
-    def no_streaming(*args, **kwargs):
-        raise AssertionError("guided streamed the closure without a tie")
+    def no_tie(tree):
+        raise AssertionError("guided computed a tie key without a tie")
 
-    monkeypatch.setattr("repro.optimizer.optimizer.iter_flows", no_streaming)
+    monkeypatch.setattr("repro.optimizer.optimizer.tie_key", no_tie)
     sp = space(name)
     result = sp.optimizer(search="guided", top_k=3).optimize(sp.plan)
     assert len({p.cost for p in result.ranked}) == len(result.ranked)

@@ -1,7 +1,7 @@
 """The Memo subsystem: ownership, dependency index, invalidation, reuse.
 
 The memo is first-class state: it owns the physical options table, the
-memo-scoped estimator caches, and the enumerated closure; it maintains a
+memo-scoped estimator caches, and the explored cells; it maintains a
 reverse dependency index (operator name -> entries whose subtree contains
 the operator); and ``invalidate`` evicts exactly the dirty spine above a
 changed operator.  Re-optimization over an invalidated memo must be
@@ -55,18 +55,18 @@ def assert_identical(got, want):
 # -- ownership and the dependency index ---------------------------------------
 
 
-def test_memo_owns_options_estimates_and_closure(workloads):
+def test_memo_owns_options_estimates_and_cells(workloads):
     w = workloads["tpch_q7"]
     opt = Optimizer(w.catalog, w.hints, AnnotationMode.SCA, w.params)
     memo = opt.new_memo()
     result = opt.optimize(w.plan, memo=memo)
     flow = plan_body(w.plan)
-    # closure cached under the optimized flow
-    assert flow in memo.closures
-    assert len(memo.closures[flow]) == result.plan_count
-    # options table holds exactly the distinct sub-plans of the closure
+    # the optimized flow's cells are explored and stand for the space
+    roots = memo.classes[opt.ctx.op_names(flow)].values()
+    assert memo.tree_count(roots) == result.plan_count
+    # options table holds exactly the distinct sub-plans of the space
     distinct = set()
-    for alt in memo.closures[flow]:
+    for alt in memo.trees(flow, opt.ctx):
         stack = [alt]
         while stack:
             n = stack.pop()
@@ -106,9 +106,11 @@ def test_invalidate_evicts_exactly_the_dirty_spine(workloads):
     assert set(memo.est_cache) == before - dirty
     # clean entries survived untouched; a second invalidation is a no-op
     assert memo.invalidate({"gamma_revenue"}) == 0
-    # width caches and closures are hint-independent and survive
+    # width caches and cells are hint-independent and survive
     assert memo.width_cache
-    assert memo.closures
+    fired = memo.fired
+    assert memo.tree_count(memo.explore(plan_body(w.plan), opt.ctx)) == 442
+    assert memo.fired == fired  # no rule fired again
 
 
 def test_invalidate_unknown_op_is_noop(workloads):

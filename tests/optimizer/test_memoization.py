@@ -5,8 +5,9 @@ table of interned sub-plan -> pruned physical options — across every
 enumerated alternative.  These tests pin that its results are
 plan-for-plan identical (ranked order, costs, shipping and local
 strategies) to an unmemoized reference built here, which plans every
-alternative with a fresh ``PhysicalOptimizer`` and stable-sorts by cost,
-on all four paper workloads, in both annotation modes.
+tree of the reference closure with a fresh ``PhysicalOptimizer`` and
+sorts by cost, then by the canonical tie key, on all four paper
+workloads, in both annotation modes.
 """
 
 import pytest
@@ -19,6 +20,7 @@ from repro.optimizer import (
     PlanContext,
     enumerate_flows,
 )
+from repro.optimizer.optimizer import tie_key
 from repro.optimizer.physical import PhysicalOptimizer
 from repro.workloads import (
     build_clickstream,
@@ -26,6 +28,7 @@ from repro.workloads import (
     build_q15,
     build_textmining,
 )
+from tests.optimizer.closure import iter_flows
 
 BUILDERS = {
     "tpch_q7": build_q7,
@@ -48,14 +51,14 @@ def optimize(workload, mode):
 
 def unmemoized(workload, mode):
     """(cost, alternative, physical) per alternative, each planned from
-    scratch, in eager's order: stable sort over discovery order."""
+    scratch, in eager's order: by cost, then by ``tie_key``."""
     ctx = PlanContext(workload.catalog, mode)
     estimator = CardinalityEstimator(ctx, workload.hints)
     scored = []
-    for alt in enumerate_flows(plan_body(workload.plan), ctx):
+    for alt in iter_flows(plan_body(workload.plan), ctx):
         phys = PhysicalOptimizer(ctx, estimator, workload.params).optimize(alt)
         scored.append((phys.cost_total, alt, phys))
-    scored.sort(key=lambda item: item[0])
+    scored.sort(key=lambda item: (item[0], tie_key(item[1])))
     return scored
 
 
@@ -76,15 +79,18 @@ def test_memoized_matches_unmemoized(workloads, name, mode):
 
 
 def test_rank_of_distinguishes_equal_signatures():
-    """Two distinct commuting operators that merely share a name produce
-    ranked plans with identical signatures; the identity-keyed rank index
-    must still resolve each plan to its own rank."""
+    """Two distinct commuting operators that merely share a name give
+    plans with identical signatures; the identity-keyed rank index must
+    still resolve each plan to its own rank.  The optimizer refuses such
+    a flow (its memo classes sub-flows by operator names, and plan
+    validation rejects duplicate names), so the ranking is built here."""
     from repro.core import (
         Catalog,
         EmitBounds,
         FieldMap,
         FieldSet,
         MapOp,
+        OptimizationError,
         SourceStats,
         Source,
         UdfProperties,
@@ -92,7 +98,13 @@ def test_rank_of_distinguishes_equal_signatures():
         chain,
         map_udf,
     )
-    from repro.optimizer import optimize as optimize_plan
+    from repro.optimizer import (
+        CostParams,
+        OptimizationResult,
+        RankedPlan,
+        optimize as optimize_plan,
+        optimize_physical,
+    )
     from tests.conftest import identity_udf
 
     fields = attrs("t.a", "t.b")
@@ -106,9 +118,20 @@ def test_rank_of_distinguishes_equal_signatures():
         )
         return MapOp("m", map_udf(identity_udf, props), FieldMap(fields))
 
-    flow = chain(Source("T", fields), named_map(0), named_map(1))
-    result = optimize_plan(flow, catalog)
-    assert result.plan_count == 2
+    first, second = named_map(0), named_map(1)
+    bodies = [
+        chain(Source("T", fields), first, second),
+        chain(Source("T", fields), second, first),
+    ]
+    with pytest.raises(OptimizationError, match="one plan space"):
+        optimize_plan(bodies[0], catalog)
+    ctx = PlanContext(catalog)
+    estimator = CardinalityEstimator(ctx, {})
+    ranked = [
+        RankedPlan(rank, body, optimize_physical(body, ctx, estimator, CostParams()))
+        for rank, body in enumerate(bodies, 1)
+    ]
+    result = OptimizationResult(bodies[0], ranked, 0.0, 0.0)
     sigs = {signature(p.body) for p in result.ranked}
     assert len(sigs) == 1  # the two orders are indistinguishable by name
     for plan in result.ranked:
