@@ -227,7 +227,9 @@ class Memo:
 
     # -- logical layer: cells ----------------------------------------------
 
-    def explore(self, flow: Node, ctx: PlanContext) -> tuple[Cell, ...]:
+    def explore(
+        self, flow: Node, ctx: PlanContext, limit: int | None = None
+    ) -> tuple[Cell, ...]:
         """The cells of ``flow``'s class, closed under every legal swap.
 
         The rule body :func:`~repro.optimizer.rules.swaps` fires once per
@@ -239,11 +241,18 @@ class Memo:
         A memo serves one plan space: sub-flows over the same operators
         are taken to be reorderings of each other, so a known operator
         name arriving as a different operator object is refused.
+
+        With a ``limit``, raises :class:`OptimizationError` once the cells
+        stand for more than ``limit`` trees, checked whenever the memo's
+        expressions have doubled: a rule that over-generates fails fast
+        instead of exhausting memory.
         """
         todo: list[tuple[Expr, int, Expr]] = []
         rep = attrgetter("rep")
         self.admit(flow)  # every tree of the class has the flow's operators
         self._intern(flow, ctx, todo)
+        roots = self.classes[ctx.op_names(flow)]
+        check = 2 * len(self.exprs)
 
         def build(op: Operator, children: tuple[Cell, ...]) -> Cell:
             return self._add(op, children, None, ctx, todo)
@@ -253,7 +262,20 @@ class Memo:
             self.fired += 1
             for _ in swaps(parent.op, parent.children, side, child, ctx, build, rep):
                 pass
-        return tuple(self.classes[ctx.op_names(flow)].values())
+            if limit is not None and len(self.exprs) >= check:
+                check *= 2
+                self._bound(roots.values(), limit)
+        if limit is not None:
+            self._bound(roots.values(), limit)
+        return tuple(roots.values())
+
+    def _bound(self, cells: Iterable[Cell], limit: int) -> None:
+        count = self.tree_count(cells)
+        if count > limit:
+            raise OptimizationError(
+                f"enumeration exceeded {limit} alternatives: the cells "
+                f"explored stand for {count} or more"
+            )
 
     def _intern(self, tree: Node, ctx: PlanContext, todo: list) -> Cell:
         cell = self._cell_of.get(tree)
@@ -334,15 +356,11 @@ class Memo:
         """Every tree of ``flow``'s plan space, each once, ``flow`` first.
 
         The rest follow the cells' expression order, which depends on what
-        the memo explored before.  Raises :class:`OptimizationError` from
-        :meth:`tree_count`, before listing any, past ``limit`` trees.
+        the memo explored before.  A space of more than ``limit`` trees
+        raises :class:`OptimizationError` from :meth:`explore`, before any
+        is listed.
         """
-        roots = self.explore(flow, ctx)
-        count = self.tree_count(roots)
-        if count > limit:
-            raise OptimizationError(
-                f"enumeration exceeded {limit} alternatives ({count})"
-            )
+        roots = self.explore(flow, ctx, limit)
         members: dict[Cell, list[Node]] = {}
 
         def listed(cell: Cell) -> list[Node]:

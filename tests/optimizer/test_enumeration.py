@@ -21,7 +21,7 @@ from repro.core import (
     node,
     signature,
 )
-from repro.core.plan import linearize
+from repro.core.plan import Node, linearize
 from repro.optimizer import (
     PlanContext,
     count_alternatives,
@@ -172,13 +172,25 @@ class TestEnumerateFlows:
         with pytest.raises(OptimizationError):
             enumerate_flows(flow, ctx, limit=10)
 
-    def test_limit_is_checked_before_listing(self):
-        """The bound is read from the memo's tree count: 8 commuting maps
-        stand for 40 320 flows, refused without listing 1 001 of them."""
+    def test_limit_is_checked_before_listing(self, monkeypatch):
+        """The bound is read from the memo's cells while they are explored:
+        9 commuting maps stand for 362 880 flows over 2 304 cell
+        expressions, refused before 1 000 trees are built."""
         ctx = make_ctx()
-        ops = [annotated_map(f"m{i}", reads=(i % WIDTH,)) for i in range(8)]
-        with pytest.raises(OptimizationError, match=r"1000 alternatives \(40320\)"):
-            enumerate_flows(build_chain(*ops), ctx, limit=1000)
+        ops = [annotated_map(f"m{i}", reads=(i % WIDTH,)) for i in range(9)]
+        flow = build_chain(*ops)
+        built = []
+        new = Node.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(cls)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Node, "__new__", counting)
+        with pytest.raises(OptimizationError, match="exceeded 1000 alternatives"):
+            enumerate_flows(flow, ctx, limit=1000)
+        monkeypatch.undo()
+        assert len(built) < 1000
 
     def test_count_helper(self):
         ctx = make_ctx()
