@@ -39,8 +39,9 @@ class SearchStats:
     """Work accounting for one :meth:`Optimizer.optimize` call.
 
     ``expanded`` counts the logical alternatives the search covered
-    (the trees the memo's root cells stand for); ``costed`` counts alternatives whose physical
-    plan was derived by the tree-level search; ``pruned`` is the rest;
+    (the trees the memo's root cells stand for); ``costed`` counts
+    alternatives whose physical plan was derived by the tree-level
+    search; ``pruned`` is the rest;
     ``bounds_computed`` counts the cell option tables computed in this
     call (surviving ones are free); ``estimate_calls`` counts
     cardinality-estimate cache misses spent.

@@ -3,7 +3,8 @@
 Four paper workloads in both annotation modes plus the 7-join x 2-filter
 stress space (6 864 alternatives).  ``tests/fixtures/rankings/*.json``
 holds, per space, the ranking the eager path (cost every alternative,
-stable sort) produced when the fixtures were frozen: per rank the plan's
+sort by cost, then by ``tie_key``) produced when the fixtures were
+frozen: per rank the plan's
 ``signature_key``, its cost as ``float.hex()`` and a digest of
 ``physical.describe()``.  The four workloads are frozen in full, the
 stress space to its first 50 ranks plus ``plan_count``.

@@ -46,7 +46,6 @@ from repro.core.plan import body as plan_body, iter_nodes, linearize
 from repro.core.operators import UdfOperator
 from repro.bench.harness import run_experiment
 from repro.cli import main
-from repro.engine import Engine
 from repro.feedback import StatisticsStore
 from repro.optimizer import Hints, Optimizer
 from tests.conftest import identity_udf, simple_catalog

@@ -5,7 +5,7 @@ eager path (see :mod:`tests.optimizer.spaces`).  ``search="guided"`` must
 return exactly their first ``top_k`` entries — same plan, bit-equal cost,
 same physical plan — cold, when re-planning over a memo that was
 invalidated after a hint change, and over a memo the other search
-already filled (eager's closure and tree options, guided's cell tables).
+already filled (eager's tree options, guided's cell tables).
 A memo that first explored another tree of the space ranks exactly as a
 cold one does.
 """
@@ -22,8 +22,9 @@ TOP_KS = (1, 3, 10)
 #: Eager over the stress space costs 6 864 alternatives: left out of the
 #: mixed-memo tests, which run it twice.
 SMALL_SPACES = [n for n in SPACE_NAMES if n != "stress"]
-#: Spaces whose memo lists the flow's trees in an order that depends on
-#: which tree of the space the memo explored first.
+#: Spaces with float-equal costs in their full ranking: the memo lists a
+#: flow's trees in an order that depends on what it explored first, so
+#: ties broken by listing position would follow the memo's history.
 HISTORY_SPACES = ("tpch_q7-sca", "stress")
 
 
