@@ -15,21 +15,15 @@ from conftest import write_result
 
 from repro.bench import render_table
 from repro.core import AnnotationMode, body
-from repro.optimizer import (
-    CardinalityEstimator,
-    PlanContext,
-    enumerate_flows,
-    optimize_physical,
-)
+from repro.optimizer import Optimizer, PlanContext, enumerate_flows
 from repro.optimizer import rules as rules_module
 
 
-def best_cost(flows, ctx, workload):
-    estimator = CardinalityEstimator(ctx, workload.hints)
-    return min(
-        optimize_physical(f, ctx, estimator, workload.params).cost_total
-        for f in flows
-    )
+def best_cost(workload):
+    return Optimizer(
+        workload.catalog, workload.hints, AnnotationMode.SCA, workload.params,
+        search="guided",
+    ).optimize(workload.plan).best.cost
 
 
 def run_ablation(workload):
@@ -48,7 +42,7 @@ def run_ablation(workload):
             rules_module, "__doc__", rules_module.__doc__
         ):
             flows = enumerate_flows(flow, PlanContext(workload.catalog, AnnotationMode.SCA))
-            cost = best_cost(flows, PlanContext(workload.catalog, AnnotationMode.SCA), workload)
+            cost = best_cost(workload)
         rows.append((label, len(flows), f"{cost:.1f} s"))
     return rows
 

@@ -75,10 +75,8 @@ from .optimizer import (
     OptimizationResult,
     Optimizer,
     PlanContext,
-    enum_alternatives_chain,
     enumerate_flows,
     optimize,
-    optimize_physical,
 )
 from .sca import analyze_udf, compile_to_tac
 
@@ -128,14 +126,12 @@ __all__ = [
     "compile_to_tac",
     "conservative_properties",
     "datasets_equal",
-    "enum_alternatives_chain",
     "enumerate_flows",
     "evaluate",
     "execute_physical",
     "map_udf",
     "node",
     "optimize",
-    "optimize_physical",
     "prefixed",
     "projected_approx_equal",
     "projected_equal",

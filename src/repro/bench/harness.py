@@ -111,13 +111,14 @@ def run_experiment(
     deployed pick runs that way instead and the boundary decisions land
     on the round reports.
 
-    ``search="guided"`` plans over the optimizer's group memo: only the
-    top ``top_k`` plans (default 1) are produced — bit-identical
-    to the eager prefix — so the rank-interval pick protocol degenerates
-    to executing that guaranteed prefix.  Guided search is for the
-    serving path; the experiment protocols that need the full ranking
-    (feedback rounds, ``--all``) keep the eager default, and feedback
-    rounds refuse a ``top_k``.
+    Both searches rank from the group memo's cell tables; ``search``
+    only sets how many plans ``top_k=None`` produces.  Under
+    ``search="guided"`` (or a ``top_k``) only the top ``top_k`` plans
+    (default 1) are produced — bit-identical to the full ranking's
+    prefix — so the rank-interval pick protocol degenerates to executing
+    that prefix.  Guided search is for the serving path; the experiment
+    protocols that need the full ranking (feedback rounds, ``--all``)
+    keep the eager default, and feedback rounds refuse a ``top_k``.
 
     ``tracer`` (a :class:`repro.obs.Tracer`) threads wall-clock spans
     through the optimizer, the engine, and — under feedback rounds — the

@@ -6,26 +6,24 @@ Memoization architecture
 The optimizer is built around *hash-consed* plans
 (:class:`repro.core.plan.Node` interns structurally-equal nodes into the
 same object), which turns every plan-keyed table into an O(1) identity
-lookup.  Three layers exploit this:
+lookup.  These layers exploit this:
 
 * **Enumeration** (:mod:`.enumeration`, :meth:`.memo.Memo.explore`):
   the swap rules fire on the group memo's *cells* of equivalent
   sub-flows, never on whole trees, and a plan space is listed as a
-  product over cell expressions (:meth:`.memo.Memo.trees`) — the one
-  enumerator of both search strategies.  Rule outcomes themselves are
-  cached in :class:`.context.PlanContext` (``rule_cache``).
+  product over cell expressions (:meth:`.memo.Memo.trees`).  Rule
+  outcomes themselves are cached in :class:`.context.PlanContext`
+  (``rule_cache``).
 * **Cardinality** (:mod:`.cardinality`): estimates are cached per
   interned node and record widths per output-attribute set, so the
   estimator does no repeated work across alternatives.
-* **Physical optimization** (:mod:`.physical`): a
-  :class:`.physical.PhysicalOptimizer` costs against a first-class
-  Volcano :class:`.memo.Memo`, so a sub-plan shared by many alternatives
-  is physically optimized once.  Full eager rankings
-  of nine plan spaces are frozen in ``tests/fixtures/rankings/``.
-* **Group memo** (:mod:`.memo`, ``Optimizer(search="guided")``): the swap
-  rules fire on *cells* of equivalent sub-flows instead of trees, each
-  cell is costed once, and the top-k is extracted from the root cells —
-  eager's ranking prefix without listing the plan space.
+* **Costing** (:mod:`.physical`, :mod:`.memo`): a
+  :class:`.physical.PhysicalOptimizer` costs each cell once, into a
+  table of the k cheapest trees per option bucket, and every ranking is
+  read from the root cells' tables — the whole space for
+  ``Optimizer(search="eager")``, rank 1 for ``"guided"``, ``top_k``
+  ranks when asked.  Full rankings of nine plan spaces are frozen in
+  ``tests/fixtures/rankings/``.
 * **Incremental re-costing** (:mod:`.memo`): an explicit memo passed to
   ``Optimizer.optimize(memo=...)`` survives across calls and feedback
   rounds; ``Memo.invalidate(changed_ops)`` evicts only the dirty spine
@@ -39,7 +37,6 @@ from .context import PlanContext
 from .cost import CostParams
 from .enumeration import (
     count_alternatives,
-    enum_alternatives_chain,
     enumerate_flows,
 )
 from .memo import Memo
@@ -56,7 +53,6 @@ from .physical import (
     PhysNode,
     Ship,
     ShipKind,
-    optimize_physical,
 )
 from .rules import (
     can_exchange_unary_binary,
@@ -84,12 +80,10 @@ __all__ = [
     "can_rotate",
     "can_swap_unary_unary",
     "count_alternatives",
-    "enum_alternatives_chain",
     "enumerate_flows",
     "kgp_kat",
     "kgp_map",
     "kgp_match_side",
     "optimize",
-    "optimize_physical",
     "roc",
 ]

@@ -4,16 +4,16 @@
 optimizer derives.  Hint-independent (legality only, never invalidated):
 the *cells* of the group memo — sets of equivalent sub-flows explored by
 firing the swap rules on cell expressions (:meth:`Memo.explore`) — plus
-record widths.  Hint-dependent: the per-cell option tables,
-the per-tree options table, and the cardinality estimator's per-node
-cache (bound into the estimator via :meth:`Memo.bind`).
+record widths.  Hint-dependent: the per-cell option tables, from which
+every ranking is read, and the cardinality estimator's per-node cache
+(bound into the estimator via :meth:`Memo.bind`).
 
 **Interesting partitionings.**  The memo holds the key sets of every
 keyed operator it serves (:meth:`Memo.admit`); options keep only what an
 operator outside their sub-flow could reuse (:meth:`Memo.interesting`).
 
 **Dirty-spine invalidation.**  A reverse dependency index maps an
-operator name to the entries — trees and cells — whose sub-flow contains
+operator name to the entries — estimated trees and cells — whose sub-flow contains
 that operator.  When the hints, observations or source statistics of some
 operators change, :meth:`Memo.invalidate` evicts exactly the entries on
 the spine *above* them, so the next :meth:`Optimizer.optimize(memo=...)
@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from itertools import product
 from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from ..core.errors import OptimizationError
 from ..core.operators import CoGroupOp, MatchOp, Operator, ReduceOp
@@ -39,7 +39,11 @@ from .context import PlanContext
 from .rules import replace_at, swaps
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle (physical imports memo)
-    from .physical import CellTable, PhysNode
+    from .physical import CellTable
+
+#: The most trees one plan space may stand for: every search and
+#: :func:`~repro.optimizer.enumeration.enumerate_flows` explore under it.
+ENUMERATION_LIMIT = 1_000_000
 
 
 class Expr:
@@ -109,7 +113,7 @@ class _RegisteringDict(dict):
 
 
 class Memo:
-    """Invalidatable store of the Volcano search's derived state.
+    """Invalidatable store of one plan space's cells and their costing.
 
     ``op_names`` maps a plan node to the frozenset of operator names in
     its subtree; pass a context-level memoized one
@@ -122,8 +126,6 @@ class Memo:
         self,
         op_names: Callable[[Node], frozenset[str]] | None = None,
     ) -> None:
-        #: Interned logical sub-plan -> pruned physical options.
-        self.table: dict[Node, tuple["PhysNode", ...]] = {}
         #: Interned logical sub-plan -> cached cardinality estimate.
         self.est_cache: dict[Node, EstStats] = _RegisteringDict(self)
         #: Output attribute set -> record width (catalog-derived, hence
@@ -164,13 +166,6 @@ class Memo:
 
     # -- table access ------------------------------------------------------
 
-    def options(self, node: Node) -> tuple["PhysNode", ...] | None:
-        return self.table.get(node)
-
-    def store(self, node: Node, options: tuple["PhysNode", ...]) -> None:
-        self._register(node)
-        self.table[node] = options
-
     def store_cell(self, cell: Cell, table: "CellTable", k: int) -> None:
         """Keep ``cell``'s table of the ``k`` cheapest trees per bucket: a
         request for at most ``k`` reuses it, a wider one recomputes it."""
@@ -178,17 +173,14 @@ class Memo:
         self.cell_options[cell] = table
         self.cell_width[cell] = k
 
-    def __len__(self) -> int:
-        return len(self.table)
-
     def admit(self, flow: Node) -> None:
         """Learn the keys of ``flow``'s operators (down to trees the memo
-        holds).  A new keyed operator drops every option table: they were
+        explored).  A new keyed operator drops every option table: they were
         bucketed without its keys, so may lack a partitioning it reuses."""
         todo = [flow]
         while todo:
             node = todo.pop()
-            if node not in self.table and node not in self._cell_of:
+            if node not in self._cell_of:
                 self._learn(node.op)
                 todo.extend(node.children)
 
@@ -202,7 +194,7 @@ class Memo:
         keys, known = frozenset(map(frozenset, sides)), self.keys.get(op.name, frozenset())
         if not keys <= known:
             self.keys[op.name] = known | keys
-            for table in (self._interesting, self.table, self.cell_options, self.cell_width):
+            for table in (self._interesting, self.cell_options, self.cell_width):
                 table.clear()
 
     def interesting(self, names: frozenset[str]) -> "_Interesting":
@@ -216,14 +208,11 @@ class Memo:
         return got
 
     def size(self) -> int:
-        """Live invalidatable entries: per-tree options, per-cell option
-        tables, estimates — the planning server's figure for a tenant's
-        warm-state footprint (the hint-independent structure beside them
-        is shared and comparatively small)."""
-        return len(self.table) + len(self.cell_options) + len(self.est_cache)
-
-    def __iter__(self) -> Iterator[Node]:
-        return iter(self.table)
+        """Live invalidatable entries: per-cell option tables and
+        estimates — the planning server's figure for a tenant's warm-state
+        footprint (the hint-independent structure beside them is shared
+        and comparatively small)."""
+        return len(self.cell_options) + len(self.est_cache)
 
     # -- logical layer: cells ----------------------------------------------
 
@@ -352,7 +341,9 @@ class Memo:
 
         return sum(count(cell) for cell in cells)
 
-    def trees(self, flow: Node, ctx: PlanContext, limit: int = 1_000_000) -> list[Node]:
+    def trees(
+        self, flow: Node, ctx: PlanContext, limit: int = ENUMERATION_LIMIT
+    ) -> list[Node]:
         """Every tree of ``flow``'s plan space, each once, ``flow`` first.
 
         The rest follow the cells' expression order, which depends on what
@@ -384,7 +375,7 @@ class Memo:
         """Make ``estimator`` read and write this memo's caches.
 
         Estimates become memo-scoped: they survive across optimize calls
-        and feedback rounds exactly as long as the options that were
+        and feedback rounds exactly as long as the cell tables that were
         costed from them, and :meth:`invalidate` evicts both together.
         """
         estimator.use_caches(self.est_cache, self.width_cache)
@@ -440,20 +431,17 @@ class Memo:
         own entry and every entry *above* it (any node whose subtree
         contains it), while sibling subtrees — typically the overwhelming
         majority of a plan space's distinct sub-plans — stay cached.
-        The per-tree options table, the estimate cache and the per-cell
-        option tables are evicted (a cell is dirty iff its name set
-        contains a changed operator); widths and the cells themselves are
-        hint-independent and survive.
+        The estimate cache and the per-cell option tables are evicted (a
+        cell is dirty iff its name set contains a changed operator); widths
+        and the cells themselves are hint-independent and survive.
         Returns the number of entries evicted.
         """
         victims = self._containing(frozenset(changed_ops))
         evicted = 0
-        table_pop = self.table.pop
         est_pop = self.est_cache.pop  # plain dict.pop: eviction, not a write
         cell_pop = self.cell_options.pop
         for entry in victims:
-            hit = table_pop(entry, None) is not None
-            hit = (est_pop(entry, None) is not None) or hit
+            hit = est_pop(entry, None) is not None
             hit = (cell_pop(entry, None) is not None) or hit
             if hit:
                 evicted += 1

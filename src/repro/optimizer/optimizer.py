@@ -2,17 +2,18 @@
 
 The optimization process mirrors the paper's prototype: obtain UDF
 properties (manual annotations or SCA), enumerate all valid reordered data
-flows, call the cost-based physical optimizer on each alternative, and
-rank the resulting execution plans by estimated cost.
+flows, physically optimize each alternative, and rank the resulting
+execution plans by estimated cost.
 
-Both search strategies enumerate through the group memo
+Every search takes one path through the group memo
 (:mod:`~repro.optimizer.memo`): the swap rules fire on *cells* of
-equivalent sub-flows.  ``search="eager"`` (the reference) lists every
-tree the root cells stand for, costs each and sorts.  ``search="guided"``
-costs each cell once and extracts the top-``k`` trees from the root
-cells — no tree of the space is built except the ``k`` returned.  Both
-order float-equal costs by :func:`tie_key`, so the two strategies return
-bit-identical plans for that prefix.
+equivalent sub-flows, each cell is costed once into a table of the ``k``
+cheapest trees per option bucket, and the root cells' buckets merged by
+tree hold the ``k`` cheapest trees of the space with their physical
+plans (Cascades' group-level costing).  ``search`` only sets the default
+``k``: the whole space for ``"eager"``, rank 1 for ``"guided"``;
+``top_k`` overrides it.  Float-equal costs are ordered by
+:func:`tie_key`, so a ranking of any width is the full ranking's prefix.
 """
 
 from __future__ import annotations
@@ -23,14 +24,14 @@ from itertools import groupby
 from typing import Callable
 
 from ..core.catalog import Catalog
-from ..core.errors import OptimizationConfigError, OptimizationError
+from ..core.errors import OptimizationConfigError
 from ..core.plan import Node, body as plan_body, linearize, signature, signature_key
 from ..core.udf import AnnotationMode
 from ..obs.tracer import NOOP_TRACER, clock
 from .cardinality import CardinalityEstimator, Hints
 from .context import PlanContext
 from .cost import CostParams
-from .memo import Memo
+from .memo import ENUMERATION_LIMIT, Memo
 from .physical import PhysicalOptimizer, PhysNode
 
 
@@ -39,12 +40,11 @@ class SearchStats:
     """Work accounting for one :meth:`Optimizer.optimize` call.
 
     ``expanded`` counts the logical alternatives the search covered
-    (the trees the memo's root cells stand for); ``costed`` counts
-    alternatives whose physical plan was derived by the tree-level
-    search; ``pruned`` is the rest;
-    ``bounds_computed`` counts the cell option tables computed in this
-    call (surviving ones are free); ``estimate_calls`` counts
-    cardinality-estimate cache misses spent.
+    (the trees the memo's root cells stand for); ``costed`` counts the
+    alternatives ranked, each with the physical plan its root bucket
+    kept; ``pruned`` is the rest; ``bounds_computed`` counts the cell
+    option tables computed in this call (surviving ones are free);
+    ``estimate_calls`` counts cardinality-estimate cache misses spent.
     All five are exported as ``optimizer.search.*`` / ``optimizer.estimates``
     counters through :mod:`repro.obs`.
     """
@@ -127,14 +127,13 @@ class OptimizationResult:
 class Optimizer:
     """Enumerate + physically optimize + rank.
 
-    A single :class:`PhysicalOptimizer` — and hence a single Volcano
-    :class:`~repro.optimizer.memo.Memo` of interned sub-plan -> physical
-    options — is shared across every enumerated alternative, so a
-    subtree occurring in hundreds of alternatives is planned once.
+    One :class:`~repro.optimizer.memo.Memo` per call holds the explored
+    cells and their option tables, so a sub-flow shared by hundreds of
+    alternatives is costed once, as one cell.
 
     **Incremental re-costing.**  :meth:`optimize` accepts an explicit
-    ``memo`` (see :meth:`new_memo`) whose surviving entries — options,
-    estimates, and the explored cells — are reused verbatim; after a
+    ``memo`` (see :meth:`new_memo`) whose surviving entries — cell
+    tables, estimates, and the explored cells — are reused verbatim; after a
     hint or statistics change, call
     :meth:`~repro.optimizer.memo.Memo.invalidate` so the dirty spine
     above the changed operators is evicted first (the feedback layer's
@@ -142,14 +141,10 @@ class Optimizer:
     :meth:`optimize` call builds a fresh memo, so one ``Optimizer``
     instance is safely re-entrant across plans and repeated calls.
 
-    **Search strategies.**  ``search="eager"`` (the default and the
-    parity reference) costs every candidate and sorts.  ``search="guided"``
-    plans over the group memo (:meth:`_optimize_guided`): cells of
-    equivalent sub-flows are explored and costed once each and the
-    ``top_k`` cheapest trees extracted from the root cells — the
-    bit-identical top-``k`` eager would return, without listing the
-    space.  ``top_k`` trims eager's ranking the same way, so the two
-    strategies stay interchangeable.
+    **Search strategies.**  Both rank through :meth:`_rank`;
+    ``search`` only sets how many ranks ``top_k=None`` returns: every
+    alternative (``"eager"``, the default) or rank 1 (``"guided"``).
+    A ranking of ``k`` plans is the bit-identical prefix of the full one.
 
     ``estimator_factory`` is the cardinality-estimation injection point:
     it is called once per :meth:`optimize` with ``(ctx, hints)`` and must
@@ -190,7 +185,8 @@ class Optimizer:
         self.ctx = PlanContext(catalog, mode)
         self.estimator_factory = estimator_factory or CardinalityEstimator
         self.search = search
-        #: Ranked-prefix length to return (see :attr:`_prefix` for ``None``).
+        #: Ranked-prefix length to return; ``None`` is the whole space
+        #: under ``search="eager"`` and rank 1 under ``"guided"``.
         self.top_k = top_k
         # Wall-clock observability (repro.obs); the tracer never touches
         # estimates, costs, or ranking — planning output is bit-identical
@@ -199,14 +195,6 @@ class Optimizer:
         #: Estimator used by the most recent :meth:`optimize` call — the
         #: feedback loop reads its cached estimates for q-error reporting.
         self.last_estimator: CardinalityEstimator | None = None
-
-    @property
-    def _prefix(self) -> int | None:
-        """Ranks to return: ``top_k``, else all (eager) or rank 1 (guided —
-        asked for everything it would have to cost the whole space)."""
-        if self.top_k is None and self.search == "guided":
-            return 1
-        return self.top_k
 
     def new_memo(self) -> Memo:
         """A fresh memo wired to this optimizer's context.
@@ -219,7 +207,7 @@ class Optimizer:
         return Memo(op_names=self.ctx.op_names)
 
     def optimize(self, plan: Node, memo: Memo | None = None) -> OptimizationResult:
-        """Enumerate, cost, and rank every alternative of ``plan``.
+        """Enumerate, cost, and rank the alternatives of ``plan``.
 
         With an explicit ``memo``, surviving entries (and the explored
         cells) are reused and new entries are left in the memo for the
@@ -232,12 +220,7 @@ class Optimizer:
         with root_span:
             estimator = self.estimator_factory(self.ctx, self.hints)
             self.last_estimator = estimator
-            search = (
-                self._optimize_guided
-                if self.search == "guided"
-                else self._optimize_eager
-            )
-            ranked, stats, enum_secs, phys_secs = search(flow, memo, estimator)
+            ranked, stats, enum_secs, phys_secs = self._rank(flow, memo, estimator)
         root_span.set(
             alternatives=stats.costed,
             best_cost=ranked[0].cost if ranked else 0.0,
@@ -259,78 +242,45 @@ class Optimizer:
 
     # -- internals ---------------------------------------------------------
 
-    def _optimize_eager(
+    def _rank(
         self, flow: Node, memo: Memo | None, estimator: CardinalityEstimator
     ) -> tuple[list[RankedPlan], SearchStats, float, float]:
-        """The reference strategy: list the space, cost every tree, sort."""
-        tracer = self.tracer
-        shared_memo = memo if memo is not None else self.new_memo()
-        shared_memo.bind(estimator)
-        t0 = clock()
-        with tracer.span("optimizer.enumerate", category="optimizer") as enum_span:
-            alternatives = shared_memo.trees(flow, self.ctx)
-        enum_span.set(alternatives=len(alternatives))
-        t1 = clock()
-        physical_optimizer = PhysicalOptimizer(
-            self.ctx, estimator, self.params, memo=shared_memo
-        )
-        plans: dict[Node, PhysNode] = {}
-        with tracer.span(
-            "optimizer.cost", category="optimizer", alternatives=len(alternatives)
-        ):
-            for alt in alternatives:
-                with tracer.span("optimizer.alternative", category="optimizer"):
-                    plans[alt] = physical_optimizer.optimize(alt)
-        t2 = clock()
-        costs = {alt: phys.cost_total for alt, phys in plans.items()}
-        ranked = [
-            RankedPlan(rank=i + 1, body=alt, physical=plans[alt])
-            for i, alt in enumerate(by_cost(costs, self._prefix))
-        ]
-        stats = SearchStats(
-            "eager", len(alternatives), len(alternatives), 0, 0,
-            estimator.estimate_calls,
-        )
-        return ranked, stats, t1 - t0, t2 - t1
+        """The one ranking: explore cells, cost cells, merge the root buckets.
 
-    def _optimize_guided(
-        self, flow: Node, memo: Memo | None, estimator: CardinalityEstimator
-    ) -> tuple[list[RankedPlan], SearchStats, float, float]:
-        """Plan over the group memo: explore cells, cost cells, extract k.
-
-        The space is never listed.  :meth:`Memo.explore` fires the swap
-        rules on cell expressions, :meth:`PhysicalOptimizer.cell_options`
-        costs each cell once keeping the ``k`` cheapest trees per option
-        bucket, and the root cells' buckets merged by tree hold eager's
-        top-``k`` with float-equal costs.  Only those ``k`` trees are
-        then planned by the tree-level search, so the physical plans
-        returned are the very ones eager returns.
+        :meth:`Memo.explore` fires the swap rules on cell expressions,
+        bounded by :data:`ENUMERATION_LIMIT` trees;
+        :meth:`PhysicalOptimizer.cell_options` costs each cell once,
+        keeping the ``k`` cheapest trees per option bucket; and the root
+        cells' buckets, merged by tree, hold the ``k`` cheapest trees of
+        the space with the very physical plans the tree-level search
+        gives them.  ``k`` is ``top_k``, else the whole space (eager) or
+        1 (guided); no tree is built except those the tables keep.
         """
         tracer = self.tracer
-        k = self._prefix
-        shared_memo = memo if memo is not None else self.new_memo()
-        shared_memo.bind(estimator)
+        memo = memo if memo is not None else self.new_memo()
+        memo.bind(estimator)
         t0 = clock()
-        fired = shared_memo.fired
+        fired = memo.fired
         with tracer.span("optimizer.enumerate", category="optimizer") as enum_span:
-            roots = shared_memo.explore(flow, self.ctx)
-            expanded = shared_memo.tree_count(roots)
-        fired = shared_memo.fired - fired
-        cells = sum(map(len, shared_memo.classes.values()))
+            roots = memo.explore(flow, self.ctx, ENUMERATION_LIMIT)
+            expanded = memo.tree_count(roots)
+        fired = memo.fired - fired
+        cells = sum(map(len, memo.classes.values()))
         enum_span.set(
-            alternatives=expanded, cells=cells, exprs=len(shared_memo.exprs), fired=fired
+            alternatives=expanded, cells=cells, exprs=len(memo.exprs), fired=fired
         )
         tracer.count("optimizer.explore.fired", fired)
         t1 = clock()
+        k = self.top_k or (expanded if self.search == "eager" else 1)
         physical_optimizer = PhysicalOptimizer(
-            self.ctx, estimator, self.params, memo=shared_memo
+            self.ctx, estimator, self.params, memo=memo
         )
         with tracer.span(
             "optimizer.cost", category="optimizer", alternatives=expanded
         ):
             want = k
             while True:
-                cheapest: dict[Node, float] = {}
+                cheapest: dict[Node, PhysNode] = {}
                 lost = math.inf
                 for cell in roots:
                     table = physical_optimizer.cell_options(cell, want)
@@ -338,27 +288,21 @@ class Optimizer:
                         lost = min(lost, left_out)
                         for option in options:
                             known = cheapest.get(option.logical)
-                            if known is None or option.cost_total < known:
-                                cheapest[option.logical] = option.cost_total
+                            if known is None or option.cost_total < known.cost_total:
+                                cheapest[option.logical] = option
+                costs = {tree: option.cost_total for tree, option in cheapest.items()}
                 # A tree the tables left out is never cheaper than the k
                 # kept, but rounding can make it *tie* rank k: widen then.
-                if want >= expanded or lost > sorted(cheapest.values())[k - 1]:
+                if want >= expanded or lost > sorted(costs.values())[k - 1]:
                     break
                 want *= 2
-            ranked = []
-            for alt in by_cost(cheapest, k):
-                with tracer.span("optimizer.alternative", category="optimizer"):
-                    phys = physical_optimizer.optimize(alt)
-                if phys.cost_total != cheapest[alt]:
-                    raise OptimizationError(
-                        f"group memo costed {signature(alt)} at "
-                        f"{cheapest[alt]!r}, the tree-level search at "
-                        f"{phys.cost_total!r}"
-                    )
-                ranked.append(RankedPlan(len(ranked) + 1, alt, phys))
+            ranked = [
+                RankedPlan(rank, tree, cheapest[tree])
+                for rank, tree in enumerate(by_cost(costs, k), 1)
+            ]
         t2 = clock()
         stats = SearchStats(
-            "guided", expanded, len(ranked), expanded - len(ranked),
+            self.search, expanded, len(ranked), expanded - len(ranked),
             physical_optimizer.tables_computed, estimator.estimate_calls,
         )
         return ranked, stats, t1 - t0, t2 - t1

@@ -9,22 +9,17 @@ data — so that, e.g., a Match can reuse the partitioning a Reduce
 established (the Q15 discussion of Section 7.3).  Only components an
 operator outside the sub-flow could reuse are kept (:meth:`Memo.interesting`).
 
-The search is a small Volcano-style dynamic program: each node returns
-its cheapest physical plan per interesting partitioning.  One planner per
-operator lists a node's physical variants over one combination of input
-options as flat *variant records*, ``(cost_self, ships, local,
-build_side, partitioning)`` tuples; the search ranks them on floats and
-builds a :class:`PhysNode` only for a variant it finally keeps (*lazy
+The search is a dynamic program over the group memo's *cells* of
+equivalent sub-flows (:meth:`PhysicalOptimizer.cell_options`): each cell
+is costed once, into a table of the k cheapest trees per option bucket
+(interesting partitioning, estimated rows, pinned tree), from its input
+cells' tables; the memo records each table's width k and invalidates it
+along the dirty spine of changed operators.  One planner per operator
+lists a node's physical variants over one combination of input options
+as flat *variant records*, ``(cost_self, ships, local, build_side,
+partitioning)`` tuples; the search ranks them on floats and builds a
+:class:`PhysNode` only for a variant a table finally keeps (*lazy
 materialization*, counted by :attr:`PhysicalOptimizer.nodes_built`).
-
-Options are memoized per interned logical sub-plan in a
-:class:`~repro.optimizer.memo.Memo` (an identity lookup, thanks to
-hash-consing), so a subtree shared by hundreds of alternatives is planned
-once; the memo can be shared across optimizer instances and invalidated
-along the dirty spine of changed operators.  Guided planning runs the
-same planners per *cell* of equivalent sub-flows
-(:meth:`PhysicalOptimizer.cell_options`), keeping the k cheapest trees
-per option bucket in tables whose width k the memo records.
 """
 
 from __future__ import annotations
@@ -33,7 +28,6 @@ import enum
 import math
 from dataclasses import dataclass
 from itertools import product
-from operator import attrgetter
 from typing import Callable
 
 from ..core.errors import OptimizationError
@@ -64,7 +58,6 @@ CellTable = dict[tuple, tuple[tuple["PhysNode", ...], float]]
 #: One physical variant of a node, not yet built: ``(cost_self, ships,
 #: local, build_side, partitioning)``.
 Variant = tuple[float, tuple["Ship", ...], "LocalStrategy", "int | None", Partitioning]
-_cost_total = attrgetter("cost_total")
 
 
 class ShipKind(enum.Enum):
@@ -202,15 +195,14 @@ class PhysicalOptimizer:
         self.ctx = ctx
         self.est = estimator
         self.params = params
-        # The Volcano memo, shared across every alternative this instance
-        # plans; a caller-provided one also shares entries across
-        # instances and feedback rounds (invalidation).
+        # The memo whose cells this instance costs; a caller-provided one
+        # also shares tables across instances and feedback rounds.
         self._memo = memo if memo is not None else Memo(op_names=ctx.op_names)
         self._planners: dict[UdfOperator, Callable[..., list[Variant]]] = {}
         #: Cell option tables this instance computed (not found in the memo).
         self.tables_computed = 0
-        #: PhysNodes this instance built: one per option a table or a
-        #: per-partitioning prune keeps, none for a variant that loses.
+        #: PhysNodes this instance built: one per option a table keeps,
+        #: none for a variant that loses.
         self.nodes_built = 0
 
     # -- public ------------------------------------------------------------
@@ -219,56 +211,7 @@ class PhysicalOptimizer:
     def memo(self) -> Memo:
         return self._memo
 
-    def optimize(self, body: Node) -> PhysNode:
-        self._memo.admit(body)
-        return min(self._options(body), key=_cost_total)
-
-    # -- tree-level options (eager planning, guided extraction) ----------------
-
-    def _options(self, node: Node) -> tuple[PhysNode, ...]:
-        cached = self._memo.options(node)
-        if cached is None:
-            cached = self._compute_options(node)
-            self._memo.store(node, cached)
-        return cached
-
-    def _compute_options(self, node: Node) -> tuple[PhysNode, ...]:
-        """The cheapest option per interesting partitioning, built as a PhysNode."""
-        op = node.op
-        interesting = self._memo.interesting(self.ctx.op_names(node))
-        if isinstance(op, Source):
-            est, variant = self._source(node)
-            return (self._build(node, est, variant, (), interesting),)
-        est = self.est.estimate(node)
-        if isinstance(op, Sink):
-            return tuple(
-                self._build(node, est, (0.0, _FORWARD_SHIPS, LocalStrategy.COLLECT,
-                                        None, child.partitioning), (child,), interesting)
-                for child in self._options(node.only_child)
-            )
-        variants = self._planner(op)
-        best: dict[Partitioning, tuple] = {}
-        if op.arity == 1:
-            for c in self._options(node.only_child):
-                _keep_cheapest(best, interesting, c.cost_total, (c,), variants(est, c))
-        else:
-            self._binary_options(node, est, variants, best, interesting)
-        return tuple(
-            self._build(node, est, variant, children, interesting)
-            for _, variant, children in best.values()
-        )
-
-    def _binary_options(self, node: Node, est: EstStats, variants, best, interesting) -> None:
-        """Offer every child-option combination to ``best``."""
-        lefts = self._options(node.children[0])
-        rights = self._options(node.children[1])
-        for left in lefts:
-            for right in rights:
-                below = left.cost_total + right.cost_total
-                offered = variants(est, left, right)
-                _keep_cheapest(best, interesting, below, (left, right), offered)
-
-    # -- cell-level option tables (guided planning) ----------------------------
+    # -- cell-level option tables ----------------------------------------------
 
     def cell_options(self, cell: Cell, k: int) -> CellTable:
         """The option table of one equivalence cell, at least ``k`` wide.
@@ -285,8 +228,8 @@ class PhysicalOptimizer:
         also carries the cheapest cost it left out, rounded upwards sum by
         sum.  A memo table at least ``k`` wide answers k exactly and is
         reused; a narrower one is recomputed.
-        Options are costed by the same planners as :meth:`_options`, so
-        each cost is the float the tree-level search computes.
+        Each kept option's cost is the float a tree-at-a-time search over
+        the same planners computes for its tree, bit for bit.
         """
         memo = self._memo
         table = memo.cell_options.get(cell)
@@ -586,21 +529,6 @@ def _ship_to(
     return partition, params.net_seconds(params.partition_bytes(child.est.bytes))
 
 
-def _keep_cheapest(
-    best: dict[Partitioning, tuple], interesting: dict[Partitioning, Partitioning],
-    below: float, children: tuple, variants: list,
-) -> None:
-    """Offer ``variants`` over ``children`` (summed cost ``below``) to
-    ``best``: the cheapest ``(cost_total, variant, children)`` per output
-    partitioning's ``interesting`` part, replaced strictly (first wins a tie)."""
-    for variant in variants:
-        total = variant[0] + below
-        parts = interesting[variant[4]]
-        current = best.get(parts)
-        if current is None or total < current[0]:
-            best[parts] = (total, variant, children)
-
-
 class _Bucket:
     """The ``k`` cheapest options over distinct logical trees, plus every
     option tying the k-th, of those offered so far — as variant records,
@@ -667,9 +595,9 @@ def _cheapest_combinations(
 
     Inputs are sorted by cost.  A unary operator passes its whole input
     bucket through.  A binary operator cuts at the k-th smallest summed
-    child cost — :meth:`PhysicalOptimizer._binary_options`' exact bound
-    generalised to k: a variant adds the same own cost to every pair of
-    one bucket pair.  The k-th sum is found among the pairs ``(i, j)``
+    child cost — the tree-level search's exact bound (keep the cheapest
+    pair) generalised to k: a variant adds the same own cost to every
+    pair of one bucket pair.  The k-th sum is found among the pairs ``(i, j)``
     with ``(i + 1) * (j + 1) <= k`` (any other has at least ``k`` pairs
     no dearer), in O(k log k) instead of the k-squared product.
     """
@@ -695,12 +623,3 @@ def _cheapest_combinations(
             picked.append((below, (left, right)))
     return picked[1:], lost  # the heads pair up first: it is the cheapest
 
-
-def optimize_physical(
-    body: Node,
-    ctx: PlanContext,
-    estimator: CardinalityEstimator,
-    params: CostParams,
-) -> PhysNode:
-    """Choose shipping and local strategies for one logical flow."""
-    return PhysicalOptimizer(ctx, estimator, params).optimize(body)

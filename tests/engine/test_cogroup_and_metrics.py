@@ -21,9 +21,9 @@ from repro.optimizer import (
     LocalStrategy,
     PlanContext,
     ShipKind,
-    optimize_physical,
 )
 from tests.conftest import random_rows
+from tests.optimizer.tree_costing import optimize_physical
 
 L = attrs("l.k", "l.v")
 S = attrs("s.k", "s.w")

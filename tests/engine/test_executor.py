@@ -31,11 +31,11 @@ from repro.optimizer import (
     CardinalityEstimator,
     CostParams,
     PlanContext,
-    optimize_physical,
 )
 from repro.optimizer.physical import Ship, ShipKind, pipelineable
 from repro.workloads import build_clickstream
 from tests.conftest import concat_udf, random_rows
+from tests.optimizer.tree_costing import optimize_physical
 
 L = attrs("l.k", "l.v")
 S = attrs("s.k", "s.name")

@@ -39,7 +39,6 @@ from repro.optimizer import (
     CostParams,
     Optimizer,
     PlanContext,
-    optimize_physical,
 )
 from repro.optimizer.physical import PhysNode, pipelineable
 from repro.workloads import (
@@ -48,6 +47,7 @@ from repro.workloads import (
     build_q15,
     build_textmining,
 )
+from tests.optimizer.tree_costing import optimize_physical
 
 SMALL_TPCH = TpchScale(suppliers=40, customers=80, orders=400)
 

@@ -90,9 +90,9 @@ def test_each_invalidation_is_counted_once():
     tracer = Tracer()
     AdaptiveOptimizer(build_q7(), picks=1, tracer=tracer).run(feedback_rounds=1)
     spans = [s for s in tracer.spans if s.name == "optimizer.invalidate"]
-    assert [s.attrs for s in spans] == [{"changed": 14, "evicted": 1417}]
+    assert [s.attrs for s in spans] == [{"changed": 14, "evicted": 126}]
     assert tracer.metrics.counters["optimizer.invalidations"] == 1
-    assert tracer.metrics.counters["optimizer.memo_evictions"] == 1417
+    assert tracer.metrics.counters["optimizer.memo_evictions"] == 126
 
 
 class TestFeedbackDisabledParity:

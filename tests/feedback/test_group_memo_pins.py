@@ -13,7 +13,7 @@ its UDF-rooted inputs.  Pinned here:
 * the job loop — plan, execute, ingest, estimator-view diff, invalidate,
   re-plan — equals a cold rebuild over the same store;
 * a store edited so that it is no longer closed is refused, not costed
-  wrongly.
+  wrongly (the tree-level reference still ranks it).
 """
 
 import pytest
@@ -32,6 +32,7 @@ from repro.feedback import (
 from repro.optimizer import Optimizer, PlanContext
 from repro.workloads import build_clickstream, build_q7, build_textmining
 from tests.optimizer.closure import iter_flows
+from tests.optimizer.tree_costing import ranking
 
 BUILDERS = {
     "tpch_q7": build_q7,
@@ -176,7 +177,7 @@ def test_replan_after_ingest_equals_a_cold_rebuild(workload):
 def test_store_that_is_not_subtree_closed_fails_loudly():
     """Forget the observation of a bottom-most UDF while the sub-flows above
     it stay pinned: the cell tables would cost unpinned siblings from a
-    pinned estimate, so guided planning refuses instead."""
+    pinned estimate, so planning refuses instead, whatever the search."""
     workload = build_q7()
     store = StatisticsStore()
     best = optimizer_over(workload, store).optimize(workload.plan).best
@@ -189,8 +190,10 @@ def test_store_that_is_not_subtree_closed_fails_loudly():
         and not any(isinstance(c.op, UdfOperator) for c in tree.children)
     )
     del store.nodes[resolved_signature_key(bottom)]
-    guided = optimizer_over(workload, store, search="guided", top_k=1)
-    with pytest.raises(OptimizationError, match="not subtree-closed"):
-        guided.optimize(workload.plan)
+    for kwargs in ({"search": "guided", "top_k": 1}, {}):
+        with pytest.raises(OptimizationError, match="not subtree-closed"):
+            optimizer_over(workload, store, **kwargs).optimize(workload.plan)
     # The tree-at-a-time reference makes no such assumption.
-    assert optimizer_over(workload, store).optimize(workload.plan).ranked
+    ctx = PlanContext(workload.catalog, AnnotationMode.SCA)
+    estimator = FeedbackEstimator(ctx, workload.hints, store)
+    assert ranking(plan_body(workload.plan), ctx, estimator, workload.params)

@@ -27,9 +27,9 @@ from repro.optimizer import (
     LocalStrategy,
     PlanContext,
     ShipKind,
-    optimize_physical,
 )
 from tests.conftest import concat_udf, identity_udf
+from tests.optimizer.tree_costing import optimize_physical
 
 L = attrs("l.k", "l.v")
 S = attrs("s.k", "s.name")

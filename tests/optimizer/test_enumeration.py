@@ -1,5 +1,10 @@
 """Enumeration: the memo's listing vs the paper's Algorithm 1; limits."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core import (
@@ -25,11 +30,12 @@ from repro.core.plan import Node, linearize
 from repro.optimizer import (
     PlanContext,
     count_alternatives,
-    enum_alternatives_chain,
     enumerate_flows,
 )
 from tests.conftest import identity_udf
+from tests.optimizer.algorithm1 import enum_alternatives_chain
 
+ROOT = Path(__file__).resolve().parents[2]
 WIDTH = 5
 ATTRS = attrs(*(f"t.f{i}" for i in range(WIDTH)))
 FMAP = FieldMap(ATTRS)
@@ -209,3 +215,45 @@ class TestEnumerateFlows:
         flow = build_chain(*ops)
         orders = {linearize(f) for f in enumerate_flows(flow, ctx)}
         assert orders == {("a", "b"), ("b", "a")}
+
+
+#: Q7 planned by each search with ``can_exchange_unary_binary`` skipped
+#: (every unary/binary exchange legal), under a 3 GB address-space cap;
+#: prints each search's error.
+OVER_GENERATING = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from repro.core.errors import OptimizationError
+from repro.optimizer import rules
+from tests.optimizer.spaces import _build
+
+rules.can_exchange_unary_binary = lambda *args: True
+sp = _build("tpch_q7-sca")
+for kwargs in ({"search": "guided", "top_k": 1}, {}):
+    try:
+        sp.optimizer(**kwargs).optimize(sp.plan)
+    except OptimizationError as err:
+        print(err)
+"""
+
+
+def test_an_over_generating_rule_fails_fast_in_every_search():
+    """Every search explores under one tree limit: with the exchange rule
+    skipped, Q7's cells stand for millions of trees, and planning stops at
+    the limit (about 200 MB here) instead of growing the memo until the
+    cap raises ``MemoryError`` (2.9 GB when guided explored unbounded)."""
+    done = subprocess.run(
+        [sys.executable, "-c", OVER_GENERATING],
+        cwd=ROOT,
+        env={
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT)]),
+        },
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    errors = done.stdout.splitlines()
+    assert len(errors) == 2
+    assert all(e.startswith("enumeration exceeded 1000000") for e in errors)

@@ -15,8 +15,7 @@ are in ``test_ranking_fixtures.py``, the memo-is-the-closure property in
 * Float-equal costs are ranked by a key read from the tree alone
   (``tie_key``), computed only when such a tie sits in the answer.
 * The work counters (:class:`~repro.optimizer.optimizer.SearchStats`)
-  account for the whole space while only ``k`` trees are planned tree
-  by tree.
+  account for the whole space while only ``k`` trees are ranked.
 * Configuration errors (bad ``search`` / ``top_k``, guided
   under feedback) raise subclasses of ``ValueError``
   so callers can catch them without importing repro error types.
@@ -344,12 +343,14 @@ def test_guided_search_stats_prove_pruning():
     assert gs.costed == 1
     assert gs.costed + gs.pruned == gs.expanded
     assert es.costed == es.expanded and es.pruned == 0
-    # One option table per cell — far fewer than distinct subtrees — and
-    # a large reduction in estimation work.
+    # Both cost one option table per cell (37, against the 1,417 distinct
+    # sub-plans a tree-level search costs) with one estimate per bucket
+    # head; guided keeps its tables one tree wide, eager the whole space.
     cells = sum(len(c) for c in guided_memo.classes.values())
-    assert gs.bounds_computed == cells < len(eager_memo.table)
-    assert es.bounds_computed == 0
-    assert gs.estimate_calls < es.estimate_calls
+    assert gs.bounds_computed == es.bounds_computed == cells == 37
+    assert gs.estimate_calls == es.estimate_calls == 89
+    assert set(guided_memo.cell_width.values()) == {1}
+    assert set(eager_memo.cell_width.values()) == {eager.plan_count}
     # A re-plan over the surviving memo computes nothing again.
     again = guided_opt.optimize(workload.plan, memo=guided_memo).search_stats
     assert again.bounds_computed == 0 and again.expanded == gs.expanded

@@ -181,13 +181,19 @@ def test_stress_buckets_and_estimates():
 
 def test_stress_eager_keeps_one_option_per_tree():
     """111,198 options over the 14,759 trees while every partitioning was
-    kept; no join of the stress space reuses a lower one's partitioning."""
+    kept; no join of the stress space reuses a lower one's partitioning.
+    The full-width cell tables hold every sub-flow once, in one bucket."""
     sp = space("stress")
     optimizer = sp.optimizer()
     memo = optimizer.new_memo()
     optimizer.optimize(sp.plan, memo=memo)
-    options = [option for options in memo.table.values() for option in options]
-    assert len(options) == len(memo.table) == 14_759
+    options = [
+        option
+        for table in memo.cell_options.values()
+        for options, _ in table.values()
+        for option in options
+    ]
+    assert len(options) == len({option.logical for option in options}) == 14_759
     assert_only_interesting(memo, options)
 
 

@@ -1,9 +1,9 @@
 """The Memo subsystem: ownership, dependency index, invalidation, reuse.
 
-The memo is first-class state: it owns the physical options table, the
-memo-scoped estimator caches, and the explored cells; it maintains a
-reverse dependency index (operator name -> entries whose subtree contains
-the operator); and ``invalidate`` evicts exactly the dirty spine above a
+The memo is first-class state: it owns the explored cells, their option
+tables and the memo-scoped estimator caches; it maintains a reverse
+dependency index (operator name -> entries whose subtree contains the
+operator); and ``invalidate`` evicts exactly the dirty spine above a
 changed operator.  Re-optimization over an invalidated memo must be
 bit-identical to a full rebuild, and an ``Optimizer`` instance must stay
 re-entrant: no memo state may leak between plans or calls unless the
@@ -55,7 +55,7 @@ def assert_identical(got, want):
 # -- ownership and the dependency index ---------------------------------------
 
 
-def test_memo_owns_options_estimates_and_cells(workloads):
+def test_memo_owns_tables_estimates_and_cells(workloads):
     w = workloads["tpch_q7"]
     opt = Optimizer(w.catalog, w.hints, AnnotationMode.SCA, w.params)
     memo = opt.new_memo()
@@ -64,7 +64,12 @@ def test_memo_owns_options_estimates_and_cells(workloads):
     # the optimized flow's cells are explored and stand for the space
     roots = memo.classes[opt.ctx.op_names(flow)].values()
     assert memo.tree_count(roots) == result.plan_count
-    # options table holds exactly the distinct sub-plans of the space
+    # one option table per cell, each as wide as the space
+    cells = {cell for cls in memo.classes.values() for cell in cls.values()}
+    assert set(memo.cell_options) == cells
+    assert set(memo.cell_width.values()) == {result.plan_count}
+    # estimates are memo-scoped: the estimator wrote into the memo's cache,
+    # one estimate per bucket head, a few of the space's distinct sub-plans
     distinct = set()
     for alt in memo.trees(flow, opt.ctx):
         stack = [alt]
@@ -72,9 +77,8 @@ def test_memo_owns_options_estimates_and_cells(workloads):
             n = stack.pop()
             distinct.add(n)
             stack.extend(n.children)
-    assert set(memo.table) == distinct
-    # estimates are memo-scoped: the estimator wrote into the memo's cache
-    assert set(memo.est_cache) == distinct
+    assert set(memo.est_cache) < distinct
+    assert (len(cells), len(memo.est_cache), len(distinct)) == (37, 89, 1417)
     assert opt.last_estimator._cache is memo.est_cache
 
 
@@ -85,7 +89,7 @@ def test_dependency_index_tracks_subtree_containment(workloads):
     opt.optimize(w.plan, memo=memo)
     dependents = memo.dependents_of("gamma_revenue")
     assert dependents  # the reduce appears in every alternative
-    for node in memo.table:
+    for node in memo.est_cache:
         contains = "gamma_revenue" in opt.ctx.op_names(node)
         assert (node in dependents) == contains
     # an unknown operator has no dependents
@@ -97,13 +101,14 @@ def test_invalidate_evicts_exactly_the_dirty_spine(workloads):
     opt = Optimizer(w.catalog, w.hints, AnnotationMode.SCA, w.params)
     memo = opt.new_memo()
     opt.optimize(w.plan, memo=memo)
-    before = set(memo.table)
-    dirty = {n for n in before if "gamma_revenue" in opt.ctx.op_names(n)}
+    trees, cells, size = set(memo.est_cache), set(memo.cell_options), memo.size()
+    dirty = {n for n in trees if "gamma_revenue" in opt.ctx.op_names(n)}
+    dirty_cells = {c for c in cells if "gamma_revenue" in c.names}
     evicted = memo.invalidate({"gamma_revenue"})
-    assert evicted == len(dirty)
-    assert 0 < evicted < len(before)  # a spine, not the whole memo
-    assert set(memo.table) == before - dirty
-    assert set(memo.est_cache) == before - dirty
+    assert evicted == len(dirty) + len(dirty_cells)
+    assert 0 < evicted < size  # a spine, not the whole memo
+    assert set(memo.est_cache) == trees - dirty
+    assert set(memo.cell_options) == cells - dirty_cells
     # clean entries survived untouched; a second invalidation is a no-op
     assert memo.invalidate({"gamma_revenue"}) == 0
     # width caches and cells are hint-independent and survive
@@ -118,9 +123,9 @@ def test_invalidate_unknown_op_is_noop(workloads):
     opt = Optimizer(w.catalog, w.hints, AnnotationMode.SCA, w.params)
     memo = opt.new_memo()
     opt.optimize(w.plan, memo=memo)
-    size = len(memo)
+    size = memo.size()
     assert memo.invalidate({"never_heard_of_it"}) == 0
-    assert len(memo) == size
+    assert memo.size() == size
 
 
 def test_size_and_evictions_count_the_group_memo_tables(workloads):
@@ -135,21 +140,17 @@ def test_size_and_evictions_count_the_group_memo_tables(workloads):
     memo = opt.new_memo()
     opt.optimize(w.plan, memo=memo)
     assert memo.cell_options
-    assert memo.size() == (
-        len(memo.table) + len(memo.cell_options) + len(memo.est_cache)
-    )
+    assert memo.size() == len(memo.cell_options) + len(memo.est_cache)
     cells = set(memo.cell_options)
     dirty_cells = {c for c in cells if "gamma_revenue" in c.names}
-    trees = set(memo.table) | set(memo.est_cache)
+    trees = set(memo.est_cache)
     dirty_trees = {t for t in trees if "gamma_revenue" in opt.ctx.op_names(t)}
     assert dirty_cells and dirty_cells != cells
     exprs = len(memo.exprs)
     assert memo.invalidate({"gamma_revenue"}) == len(dirty_cells) + len(dirty_trees)
     assert set(memo.cell_options) == cells - dirty_cells
-    assert set(memo.table) | set(memo.est_cache) == trees - dirty_trees
-    assert memo.size() == (
-        len(memo.table) + len(memo.cell_options) + len(memo.est_cache)
-    )
+    assert set(memo.est_cache) == trees - dirty_trees
+    assert memo.size() == len(memo.cell_options) + len(memo.est_cache)
     assert len(memo.exprs) == exprs and memo.classes
     assert memo.invalidate({"gamma_revenue"}) == 0
 
@@ -250,5 +251,7 @@ def test_physical_optimizer_default_memo_is_private(workloads):
     a = PhysicalOptimizer(ctx, est, w.params)
     b = PhysicalOptimizer(ctx, est, w.params)
     assert a.memo is not b.memo
-    a.optimize(plan_body(w.plan))
-    assert len(b.memo) == 0
+    for cell in a.memo.explore(plan_body(w.plan), ctx):
+        a.cell_options(cell, 1)
+    assert a.memo.size() > 0
+    assert b.memo.size() == 0 and not b.memo.classes

@@ -1,13 +1,13 @@
-"""The shared Volcano memo must not change optimization results.
+"""Costing each cell once must not change optimization results.
 
-Eager planning shares one ``PhysicalOptimizer`` — and hence one memo
-table of interned sub-plan -> pruned physical options — across every
-enumerated alternative.  These tests pin that its results are
-plan-for-plan identical (ranked order, costs, shipping and local
-strategies) to an unmemoized reference built here, which plans every
-tree of the reference closure with a fresh ``PhysicalOptimizer`` and
-sorts by cost, then by the canonical tie key, on all four paper
-workloads, in both annotation modes.
+Every ranking is read from the group memo's cell tables, each cell
+costed once for all the alternatives it takes part in.  These tests pin
+that the results are plan-for-plan identical (ranked order, costs,
+shipping and local strategies) to an unmemoized reference built here,
+which plans every tree of the reference closure with a fresh tree-level
+search (:mod:`tests.optimizer.tree_costing`) and sorts by cost, then by
+the canonical tie key, on all four paper workloads, in both annotation
+modes.
 """
 
 import pytest
@@ -21,7 +21,6 @@ from repro.optimizer import (
     enumerate_flows,
 )
 from repro.optimizer.optimizer import tie_key
-from repro.optimizer.physical import PhysicalOptimizer
 from repro.workloads import (
     build_clickstream,
     build_q7,
@@ -29,6 +28,7 @@ from repro.workloads import (
     build_textmining,
 )
 from tests.optimizer.closure import iter_flows
+from tests.optimizer.tree_costing import optimize_physical
 
 BUILDERS = {
     "tpch_q7": build_q7,
@@ -56,7 +56,7 @@ def unmemoized(workload, mode):
     estimator = CardinalityEstimator(ctx, workload.hints)
     scored = []
     for alt in iter_flows(plan_body(workload.plan), ctx):
-        phys = PhysicalOptimizer(ctx, estimator, workload.params).optimize(alt)
+        phys = optimize_physical(alt, ctx, estimator, workload.params)
         scored.append((phys.cost_total, alt, phys))
     scored.sort(key=lambda item: (item[0], tie_key(item[1])))
     return scored
@@ -103,7 +103,6 @@ def test_rank_of_distinguishes_equal_signatures():
         OptimizationResult,
         RankedPlan,
         optimize as optimize_plan,
-        optimize_physical,
     )
     from tests.conftest import identity_udf
 
@@ -138,26 +137,22 @@ def test_rank_of_distinguishes_equal_signatures():
         assert result.rank_of(plan.body) == plan.rank
 
 
-def test_memo_is_shared_across_alternatives(workloads):
-    """The memo table ends up holding every distinct sub-plan exactly once."""
+def test_each_cell_is_costed_once_for_the_whole_space(workloads):
+    """A full ranking computes one option table per cell, far fewer than
+    the distinct sub-plans of the space its alternatives are made of."""
     workload = workloads["tpch_q7"]
-    ctx = PlanContext(workload.catalog, AnnotationMode.SCA)
-    alternatives = enumerate_flows(plan_body(workload.plan), ctx)
-    estimator = CardinalityEstimator(ctx, workload.hints)
-    shared = PhysicalOptimizer(ctx, estimator, workload.params)
-    for alt in alternatives:
-        shared.optimize(alt)
+    optimizer = Optimizer(
+        workload.catalog, workload.hints, AnnotationMode.SCA, workload.params
+    )
+    memo = optimizer.new_memo()
+    result = optimizer.optimize(workload.plan, memo=memo)
+    cells = sum(map(len, memo.classes.values()))
     distinct = set()
-    for alt in alternatives:
+    for alt in enumerate_flows(plan_body(workload.plan), optimizer.ctx):
         stack = [alt]
         while stack:
             n = stack.pop()
             distinct.add(n)
             stack.extend(n.children)
-    # every distinct interned subtree was planned exactly once
-    assert set(shared._memo) == distinct
-    assert len(shared._memo) < sum(1 + _size(a) for a in alternatives)
-
-
-def _size(node):
-    return 1 + sum(_size(c) for c in node.children)
+    assert result.search_stats.bounds_computed == len(memo.cell_options) == cells
+    assert cells < len(distinct)

@@ -2,7 +2,7 @@
 
 The planners list each node's physical variants as flat records and the
 search ranks them on floats, so a :class:`PhysNode` exists only for an
-option a cell table or a per-partitioning prune keeps.  Pinned here on a
+option a cell table keeps.  Pinned here on a
 cold guided plan of the stress space and of Q7: every node the physical
 optimizer built is held by the memo, and every node the memo holds was
 built by it.  A cell table records its width, so a later, narrower
@@ -24,8 +24,8 @@ from tests.optimizer.test_ranking_fixtures import changed_hint, prefix
 
 
 def kept_nodes(memo) -> set:
-    """Every PhysNode the memo's tree options and cell tables hold."""
-    kept = {option for options in memo.table.values() for option in options}
+    """Every PhysNode the memo's cell tables hold."""
+    kept = set()
     for table in memo.cell_options.values():
         kept.update(option for options, _ in table.values() for option in options)
     return kept
