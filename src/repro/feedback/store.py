@@ -9,7 +9,9 @@ observation, so drifting data shifts the learned statistics while
 one-off outliers wash out; entries unseen for more than
 ``staleness_horizon`` ingests are treated as stale and excluded from
 learned hints and overrides (they are kept in the store so a later
-sighting revives their history).
+sighting revives their history).  Every ingest of one engine run (its
+stage deltas) refreshes all that run observed, so a consumer never
+stays fresh over an input gone stale: the store stays subtree-closed.
 
 What is learned
 ---------------
@@ -300,6 +302,15 @@ class StatisticsStore:
             node.runs += 1
             node.last_seen = self.version
             touched_nodes.add(obs.key)
+        if ingested is not None:
+            # A run's observations age together: its stage deltas arrive
+            # as separate ingests, and a consumer fresher than the inputs
+            # it was observed over would leave the store not subtree-closed.
+            for key in ingested - touched_nodes:
+                node = self.nodes.get(key)
+                if node is not None:
+                    node.last_seen = self.version
+                    touched_nodes.add(key)
         if not execution.partial:
             plan = self.plans.get(execution.plan_key)
             if plan is None:
