@@ -433,7 +433,10 @@ def check_executes_like_evaluate(flow, catalog, data):
     """Each ranked alternative's physical plan returns ``evaluate(flow)``;
     returns how many alternatives ran."""
     want = evaluate(flow, data)
-    engine = Engine()  # the optimizer's default CostParams, as planned
+    # The optimizer's default CostParams, as planned.  Alternatives share
+    # most physical subtrees; reusing their results is bit-identical to
+    # executing each afresh (``test_golden.py``'s cached mode pins it).
+    engine = Engine(reuse_subtree_results=True)
     ranked = Optimizer(catalog).optimize(flow).ranked
     for plan in ranked:
         got = engine.execute(plan.physical, data).records
