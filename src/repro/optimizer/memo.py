@@ -142,6 +142,9 @@ class Memo:
         self.exprs: dict[tuple[Operator, tuple[Cell, ...]], Cell] = {}
         self._cell_of: dict[Node, Cell] = {}
         self.fired = 0
+        #: Cell -> how many trees it stands for (:meth:`tree_count`), valid
+        #: until the next expression is added.
+        self._counts: dict[Cell, int] = {}
         #: Cell -> its option table (:meth:`~repro.optimizer.physical.
         #: PhysicalOptimizer.cell_options`) of the ``cell_width[cell]``
         #: cheapest trees per bucket.  Evicted like estimates: a cell is
@@ -308,6 +311,7 @@ class Memo:
         if fresh:
             cell = cells[facts] = Cell(names, rep)
         self.exprs[op, children] = cell
+        self._counts.clear()
         expr = Expr(op, children, rep)
         cell.exprs.append(expr)
         for side, child in enumerate(children):
@@ -328,7 +332,7 @@ class Memo:
 
     def tree_count(self, cells: Iterable[Cell]) -> int:
         """How many distinct trees ``cells`` stand for (a sum-product)."""
-        counts: dict[Cell, int] = {}
+        counts = self._counts
 
         def count(cell: Cell) -> int:
             got = counts.get(cell)
