@@ -207,8 +207,8 @@ class Engine:
     outcome of every executed physical subtree — output partitions plus
     the per-operator metrics — and replays it when another plan of the
     same experiment contains an identical subtree over the same source
-    data.  The shared Volcano memo in the optimizer hands structurally
-    shared sub-plans to the engine as the *same* ``PhysNode`` objects, so
+    data.  The optimizer's cell tables hand structurally shared
+    sub-plans to the engine as the *same* ``PhysNode`` objects, so
     the rank-picked plans of one experiment hit this cache heavily.  The
     cache keys on pipeline-stage boundaries (breakers and the chains
     fused onto them), not on every node.  Reported records and simulated

@@ -252,8 +252,8 @@ class Optimizer:
         :meth:`PhysicalOptimizer.cell_options` costs each cell once,
         keeping the ``k`` cheapest trees per option bucket; and the root
         cells' buckets, merged by tree, hold the ``k`` cheapest trees of
-        the space with the very physical plans the tree-level search
-        gives them.  ``k`` is ``top_k``, else the whole space (eager) or
+        the space, each with the physical plan a tree-at-a-time search
+        would give it.  ``k`` is ``top_k``, else the whole space (eager) or
         1 (guided); no tree is built except those the tables keep.
         """
         tracer = self.tracer

@@ -100,7 +100,7 @@ class PhysNode:
 
     ``eq=False`` keeps ``object`` identity hashing/equality: the generated
     dataclass ``__hash__``/``__eq__`` would recurse over the whole subtree
-    on every memo or subtree-cache lookup.  The shared Volcano memo hands
+    on every memo or subtree-cache lookup.  The cell tables hand
     structurally shared sub-plans around as the *same* object, so identity
     is the right equivalence for every hot lookup (engine subtree cache,
     rank bookkeeping); structural comparisons go through ``describe()``.

@@ -55,7 +55,7 @@ def assert_identical(got, want):
 # -- ownership and the dependency index ---------------------------------------
 
 
-def test_memo_owns_tables_estimates_and_cells(workloads):
+def test_memo_owns_options_estimates_and_cells(workloads):
     w = workloads["tpch_q7"]
     opt = Optimizer(w.catalog, w.hints, AnnotationMode.SCA, w.params)
     memo = opt.new_memo()

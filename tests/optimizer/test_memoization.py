@@ -137,7 +137,7 @@ def test_rank_of_distinguishes_equal_signatures():
         assert result.rank_of(plan.body) == plan.rank
 
 
-def test_each_cell_is_costed_once_for_the_whole_space(workloads):
+def test_memo_is_shared_across_alternatives(workloads):
     """A full ranking computes one option table per cell, far fewer than
     the distinct sub-plans of the space its alternatives are made of."""
     workload = workloads["tpch_q7"]
