@@ -104,15 +104,6 @@ def test_full_width_tables_equal_the_reference(name):
     assert count == sp.optimizer().optimize(sp.plan).plan_count
 
 
-@pytest.mark.parametrize("name", SPACE_NAMES)
-def test_full_ranking_equals_the_reference(name):
-    sp = space(name)
-    ctx = PlanContext(sp.catalog, sp.mode)
-    estimator = CardinalityEstimator(ctx, sp.hints)
-    want = described(ranking(plan_body(sp.plan), ctx, estimator, sp.params))
-    assert ranked(sp.optimizer().optimize(sp.plan)) == want
-
-
 # -- generated flows ------------------------------------------------------------
 
 
