@@ -359,20 +359,18 @@ def build_parser() -> argparse.ArgumentParser:
                 "--search",
                 choices=("eager", "guided"),
                 default="eager",
-                help="plan search strategy: 'eager' costs every enumerated "
-                "alternative and ranks them all; 'guided' plans over the "
-                "group memo (equivalent sub-flows explored and costed once) "
-                "and returns the top --top-k plans (bit-identical to the "
-                "eager prefix)",
+                help="plan search strategy: both cost each cell of "
+                "equivalent sub-flows once; 'eager' ranks every alternative, "
+                "'guided' returns the top --top-k plans (bit-identical to "
+                "the full ranking's prefix)",
             )
             p.add_argument(
                 "--top-k",
                 type=_positive_int,
                 default=None,
                 metavar="K",
-                help="number of top-ranked plans to produce (guided "
-                "extracts exactly this many; eager ranks everything then "
-                "trims; refused with --feedback-rounds). Default: 1 under "
+                help="number of top-ranked plans to produce, under either "
+                "search (refused with --feedback-rounds). Default: 1 under "
                 "--search guided, unlimited under eager",
             )
             p.add_argument(
