@@ -16,6 +16,14 @@ is what makes reordering sound: an operator only manipulates attributes in
 its own positional space (its field maps); every other attribute passes
 through untouched, which is exactly the pi_W-complement preservation the
 paper's proofs rely on.
+
+The API sits on the engine's per-record path, so each step is one
+C-level lookup where it can be: attributes are interned and hash in C,
+an :class:`InputRecord` keeps its field map's attribute tuple, and
+:meth:`OutputPositionResolver.attr_for` reads input positions from one
+flat tuple over all input maps.  A view is shared wherever the UDF
+cannot tell: a Match hands the same right-side view to every left row
+that probes its key.
 """
 
 from __future__ import annotations
@@ -110,10 +118,11 @@ class OutputPositionResolver:
     def __init__(
         self, input_maps: tuple[FieldMap, ...], factory: NewAttributeFactory
     ) -> None:
-        self._maps = input_maps
         self._factory = factory
-        self._widths = [len(m) for m in input_maps]
-        self._total_width = sum(self._widths)
+        # the input positions of all maps, concatenated, as one flat tuple
+        self._inputs = tuple(chain.from_iterable(m.attributes for m in input_maps))
+        self._positional = frozenset(self._inputs)
+        self._total_width = len(self._inputs)
 
     @property
     def total_width(self) -> int:
@@ -122,25 +131,19 @@ class OutputPositionResolver:
     def attr_for(self, output_position: int) -> Attribute:
         if output_position < 0:
             raise UdfError(f"negative field position {output_position}")
-        offset = output_position
-        for m in self._maps:
-            if offset < len(m):
-                return m.attr_at(offset)
-            offset -= len(m)
+        if output_position < self._total_width:
+            return self._inputs[output_position]
         return self._factory.attr_for(output_position)
 
     def positional_attrs(self) -> frozenset[Attribute]:
         """All attributes inside this operator's positional space."""
-        out: set[Attribute] = set()
-        for m in self._maps:
-            out.update(m.attributes)
-        return frozenset(out)
+        return self._positional
 
 
 class InputRecord:
     """Read-only positional view handed to UDFs."""
 
-    __slots__ = ("_values", "_field_map", "_resolver")
+    __slots__ = ("_values", "_field_map", "_attrs", "_resolver")
 
     def __init__(
         self,
@@ -150,13 +153,14 @@ class InputRecord:
     ) -> None:
         self._values = values
         self._field_map = field_map
+        self._attrs = field_map.attributes
         self._resolver = resolver
 
     def get_field(self, position: int) -> Any:
         try:
             # fast path: in-range position, attribute present
             if position >= 0:
-                return self._values[self._field_map.attributes[position]]
+                return self._values[self._attrs[position]]
         except KeyError:
             attr = self._field_map.attr_at(position)
             raise UdfError(

@@ -11,7 +11,8 @@ both execution paths call a UDF — a Python callable — the same way.
 
 from __future__ import annotations
 
-from typing import Any
+from operator import itemgetter
+from typing import Any, Callable
 
 from .errors import ExecutionError
 from .operators import (
@@ -31,20 +32,11 @@ from .schema import Attribute
 SourceData = dict[str, list[RawRecord]]
 
 
-def call_udf(op: UdfOperator, *record_args: Any) -> list[RawRecord]:
-    """Invoke an operator's UDF with wrapped record arguments."""
-    collector = Collector()
-    op.udf.fn(*record_args, collector)
-    return collector.records()
-
-
-def _wrap_all(op: UdfOperator, input_index: int, rows: list[RawRecord]) -> list[InputRecord]:
-    fmap = op.input_maps[input_index]
-    resolver = op.resolver
-    return [InputRecord(r, fmap, resolver) for r in rows]
-
-
 def key_of(row: RawRecord, key_attrs: tuple[Attribute, ...]) -> tuple:
+    """The row's key tuple; a missing key attribute raises ExecutionError.
+
+    The hot paths read keys through :func:`key_getter` and call this only
+    after a ``KeyError``, to raise the error."""
     try:
         return tuple(map(row.__getitem__, key_attrs))
     except KeyError as exc:
@@ -53,10 +45,33 @@ def key_of(row: RawRecord, key_attrs: tuple[Attribute, ...]) -> tuple:
         ) from None
 
 
-def group_by(rows: list[RawRecord], key_attrs: tuple[Attribute, ...]) -> dict[tuple, list[RawRecord]]:
-    groups: dict[tuple, list[RawRecord]] = {}
-    for row in rows:
-        groups.setdefault(key_of(row, key_attrs), []).append(row)
+def key_getter(key_attrs: tuple[Attribute, ...]) -> Callable[[RawRecord], Any]:
+    """One C-level reader of a row's key: ``itemgetter(*key_attrs)``.
+
+    It yields the bare value for a one-attribute key and a tuple
+    otherwise; both compare and group as :func:`key_of`'s tuple does.  It
+    raises a bare ``KeyError`` on a missing attribute, which callers turn
+    into :func:`key_of`'s ``ExecutionError``."""
+    return itemgetter(*key_attrs) if key_attrs else lambda row: ()
+
+
+def group_by(rows: list[RawRecord], key_attrs: tuple[Attribute, ...]) -> dict[Any, list[RawRecord]]:
+    """Rows by key, keys and rows in first-seen order; keys as
+    :func:`key_getter` reads them."""
+    get = key_getter(key_attrs)
+    groups: dict[Any, list[RawRecord]] = {}
+    row = None
+    try:
+        for row in rows:
+            key = get(row)
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [row]
+            else:
+                group.append(row)
+    except KeyError:
+        key_of(row, key_attrs)  # raises the oracle's ExecutionError
+        raise
     return groups
 
 
@@ -79,10 +94,18 @@ def apply_map(op: MapOp, rows: list[RawRecord]) -> list[RawRecord]:
 
 
 def apply_reduce(op: ReduceOp, rows: list[RawRecord]) -> list[RawRecord]:
-    out: list[RawRecord] = []
-    for _, group in group_by(rows, op.key_attr_tuple()).items():
-        out.extend(call_udf(op, _wrap_all(op, 0, group)))
-    return out
+    return reduce_groups(op, group_by(rows, op.key_attr_tuple()))
+
+
+def reduce_groups(op: ReduceOp, groups: dict[Any, list[RawRecord]]) -> list[RawRecord]:
+    """Call a Reduce UDF once per group of :func:`group_by`, in key order."""
+    fn = op.udf.fn
+    fmap = op.input_maps[0]
+    resolver = op.resolver
+    collector = Collector()
+    for group in groups.values():
+        fn([InputRecord(r, fmap, resolver) for r in group], collector)
+    return collector._out
 
 
 def apply_cross(op: CrossOp, left: list[RawRecord], right: list[RawRecord]) -> list[RawRecord]:
@@ -99,35 +122,63 @@ def apply_cross(op: CrossOp, left: list[RawRecord], right: list[RawRecord]) -> l
 
 def apply_match(op: MatchOp, left: list[RawRecord], right: list[RawRecord]) -> list[RawRecord]:
     right_index = group_by(right, op.right_key_attrs())
-    left_keys = op.left_key_attrs()
+    get_key = key_getter(op.left_key_attrs())
     fn = op.udf.fn
-    # hot path: hoist the wrapper components and share one collector
+    # hot path: hoist the wrapper components and share one collector; a
+    # right row is wrapped once, when its key is first probed
     l_map, r_map = op.input_maps
     resolver = op.resolver
     collector = Collector()
-    for l_row in left:
-        matches = right_index.get(key_of(l_row, left_keys))
-        if not matches:
-            continue
-        l_rec = InputRecord(l_row, l_map, resolver)
-        for r_row in matches:
-            fn(l_rec, InputRecord(r_row, r_map, resolver), collector)
+    wrapped: dict[Any, list[InputRecord]] = {}
+    l_row = None
+    try:
+        for l_row in left:
+            key = get_key(l_row)
+            r_recs = wrapped.get(key)
+            if r_recs is None:
+                r_rows = right_index.get(key)
+                if r_rows is None:
+                    continue
+                r_recs = wrapped[key] = [
+                    InputRecord(r, r_map, resolver) for r in r_rows
+                ]
+            l_rec = InputRecord(l_row, l_map, resolver)
+            for r_rec in r_recs:
+                fn(l_rec, r_rec, collector)
+    except KeyError:
+        key_of(l_row, op.left_key_attrs())  # raises the oracle's ExecutionError
+        raise
     return collector._out
 
 
 def apply_cogroup(op: CoGroupOp, left: list[RawRecord], right: list[RawRecord]) -> list[RawRecord]:
-    left_groups = group_by(left, op.left_key_attrs())
-    right_groups = group_by(right, op.right_key_attrs())
-    out: list[RawRecord] = []
+    return cogroup_groups(
+        op,
+        group_by(left, op.left_key_attrs()),
+        group_by(right, op.right_key_attrs()),
+    )
+
+
+def cogroup_groups(
+    op: CoGroupOp,
+    left_groups: dict[Any, list[RawRecord]],
+    right_groups: dict[Any, list[RawRecord]],
+) -> list[RawRecord]:
+    """Call a CoGroup UDF once per key of either input's :func:`group_by`:
+    the left keys in order, then the right keys the left lacks."""
+    fn = op.udf.fn
+    l_map, r_map = op.input_maps
+    resolver = op.resolver
+    collector = Collector()
     all_keys = list(left_groups)
     all_keys.extend(k for k in right_groups if k not in left_groups)
     for key in all_keys:
-        l_rows = left_groups.get(key, [])
-        r_rows = right_groups.get(key, [])
-        out.extend(
-            call_udf(op, _wrap_all(op, 0, l_rows), _wrap_all(op, 1, r_rows))
+        fn(
+            [InputRecord(r, l_map, resolver) for r in left_groups.get(key, ())],
+            [InputRecord(r, r_map, resolver) for r in right_groups.get(key, ())],
+            collector,
         )
-    return out
+    return collector._out
 
 
 def apply_operator(op: UdfOperator, inputs: list[list[RawRecord]]) -> list[RawRecord]:

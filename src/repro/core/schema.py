@@ -7,9 +7,9 @@ data set to its global attribute.
 
 In this implementation:
 
-* :class:`Attribute` objects are the global names.  Two scans of the same
-  base table use *distinct* attribute objects (the paper prefixes attributes
-  with the data set they belong to).
+* :class:`Attribute` objects are the global names, one interned object per
+  name.  Two scans of the same base table use *distinct* attributes (the
+  paper prefixes attributes with the data set they belong to).
 * Each operator carries a :class:`FieldMap` per input — the redirection map
   alpha fixed when the flow was authored.  Reordering never changes these
   maps, which is exactly how the paper preserves positional UDF access under
@@ -23,26 +23,51 @@ from dataclasses import dataclass, field
 from .errors import SchemaError
 
 
-@dataclass(frozen=True, slots=True)
+_INTERNED: dict[str, "Attribute"] = {}
+
+
 class Attribute:
     """A uniquely named member of the global record.
 
-    Attributes compare by name; creating two ``Attribute`` objects with the
-    same name yields equal attributes (convenient for tests), but library
-    code always threads the same objects through.
+    Attributes are interned by name: ``Attribute(name)`` returns the one
+    object for that name, so name equality is identity.  Equality and hash
+    are therefore ``object``'s, both computed in C: runtime records are
+    dictionaries keyed by attributes, so attribute hashing sits on the
+    engine's innermost loops.  The intern table is filled with
+    ``dict.setdefault``, so threads constructing one new name at once all
+    get the object that won.  Pickle, ``copy`` and ``deepcopy`` return the
+    interned object too.
 
-    The hash is precomputed: runtime records are dictionaries keyed by
-    attributes, so attribute hashing sits on the engine's innermost loops.
+    Sets of attributes iterate in an order that follows object addresses;
+    code whose output depends on such an order must sort by name.
     """
 
+    __slots__ = ("name",)
+
     name: str
-    _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash(self.name))
+    def __new__(cls, name: str) -> "Attribute":
+        attr = _INTERNED.get(name)
+        if attr is None:
+            attr = object.__new__(cls)
+            object.__setattr__(attr, "name", name)
+            attr = _INTERNED.setdefault(name, attr)
+        return attr
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __setattr__(self, key: str, value) -> None:
+        raise AttributeError(f"Attribute {self.name!r} is immutable")
+
+    def __delattr__(self, key: str) -> None:
+        raise AttributeError(f"Attribute {self.name!r} is immutable")
+
+    def __reduce__(self):
+        return (Attribute, (self.name,))
+
+    def __copy__(self) -> "Attribute":
+        return self
+
+    def __deepcopy__(self, memo) -> "Attribute":
+        return self
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Attr({self.name})"

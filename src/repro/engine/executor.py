@@ -39,10 +39,18 @@ it ran on its own node, not in the host's processes.  The engine's own
 per-record work is done in bulk wherever that yields exactly the
 per-record value: byte totals through :func:`~repro.core.record.rows_bytes`
 (one total per shipped input; per-partition totals only for Reduce's
-spill, which is charged per instance), hash routing through
+spill, which is charged per instance; a scan's total rides on its
+:class:`~.partition.SizedPartitions`, so a ship right on the scan does
+not size the rows again), hash routing through
 :func:`~.partition.repartition_by_key` (inlined ``stable_hash``), the scan
 split as list slices, and copy-on-write emits in
-:class:`~repro.core.record.Collector`.  Records, their order and every
+:class:`~repro.core.record.Collector`.  The record path itself runs no
+Python-level call but the UDF's per record or pair: attributes hash in C
+(they are interned, :class:`~repro.core.schema.Attribute`), keys are
+read by one ``itemgetter`` per keyed input
+(:func:`~repro.core.reference.key_getter`), a Match wraps each
+right-side row once per partition, and each Reduce partition and CoGroup
+input is grouped once.  Records, their order and every
 ``OpMetrics`` bit of reference plans are frozen in
 ``tests/fixtures/engine/`` and replayed by ``tests/engine/test_golden.py``.
 """
@@ -66,12 +74,12 @@ from ..core.operators import (
 )
 from ..core.record import RawRecord, rows_bytes
 from ..core.reference import (
-    apply_cogroup,
     apply_cross,
     apply_map,
     apply_match,
-    apply_reduce,
+    cogroup_groups,
     group_by,
+    reduce_groups,
 )
 from ..obs.tracer import NOOP_TRACER, clock
 from ..optimizer.cost import CostParams
@@ -84,6 +92,7 @@ from ..optimizer.physical import (
 from .metrics import ExecutionReport, OpMetrics
 from .partition import (
     Partitions,
+    SizedPartitions,
     broadcast,
     empty_partitions,
     gather,
@@ -173,13 +182,13 @@ def eval_local_partition(
     """Evaluate one partition of a local strategy.
 
     Returns the output rows plus the auxiliary counts the metric
-    arithmetic needs for this partition (Reduce groups, CoGroup keys).
+    arithmetic needs for this partition (Reduce groups, CoGroup keys),
+    read off the one grouping the UDF calls run over.
     """
     if isinstance(op, ReduceOp):
         (rows,) = rows_by_input
-        groups = len(group_by(rows, op.key_attr_tuple())) if rows else 0
-        result = apply_reduce(op, rows)
-        return result, (groups,)
+        groups = group_by(rows, op.key_attr_tuple())
+        return reduce_groups(op, groups), (len(groups),)
     if isinstance(op, MatchOp):
         l_rows, r_rows = rows_by_input
         return apply_match(op, l_rows, r_rows), ()
@@ -188,12 +197,10 @@ def eval_local_partition(
         return apply_cross(op, l_rows, r_rows), ()
     if isinstance(op, CoGroupOp):
         l_rows, r_rows = rows_by_input
-        result = apply_cogroup(op, l_rows, r_rows)
-        keys = len(
-            set(group_by(l_rows, op.left_key_attrs()))
-            | set(group_by(r_rows, op.right_key_attrs()))
-        )
-        return result, (keys,)
+        l_groups = group_by(l_rows, op.left_key_attrs())
+        r_groups = group_by(r_rows, op.right_key_attrs())
+        keys = len(l_groups.keys() | r_groups.keys())
+        return cogroup_groups(op, l_groups, r_groups), (keys,)
     raise ExecutionError(f"cannot execute {op!r}")
 
 
@@ -548,10 +555,11 @@ class Engine:
             with self.tracer.span(
                 "engine.scan", category="engine", source=op.name
             ) as scan_span:
-                parts = round_robin(rows, params.degree)
+                parts = SizedPartitions(round_robin(rows, params.degree))
+                parts.total_bytes = rows_bytes(rows)
                 metrics = OpMetrics(name=op.name, strategy="scan")
                 metrics.rows_out = len(rows)
-                metrics.disk_bytes = float(rows_bytes(rows))
+                metrics.disk_bytes = float(parts.total_bytes)
                 metrics.local_seconds = params.disk_seconds(metrics.disk_bytes)
                 report.per_op.append(metrics)
             scan_span.set(rows_out=len(rows))
@@ -612,8 +620,13 @@ class Engine:
             return parts
         rows = sum(len(p) for p in parts)
         # One byte total per input: the per-partition totals are integers,
-        # so their float sum is exactly float(total).
-        avg = float(sum(map(rows_bytes, parts))) / rows if rows else 0.0
+        # so their float sum is exactly float(total); a scan's partitions
+        # carry that total already.
+        if isinstance(parts, SizedPartitions):
+            total = parts.total_bytes
+        else:
+            total = sum(map(rows_bytes, parts))
+        avg = float(total) / rows if rows else 0.0
         if ship.kind is ShipKind.PARTITION:
             if ship.key is None:
                 raise ExecutionError(f"{node.name}: partition ship without key")

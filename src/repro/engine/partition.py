@@ -10,14 +10,22 @@ from __future__ import annotations
 import zlib
 from decimal import Decimal
 from fractions import Fraction
-from operator import itemgetter
 from typing import Any
 
 from ..core.record import RawRecord
-from ..core.reference import key_of
+from ..core.reference import key_getter, key_of
 from ..core.schema import Attribute
 
 Partitions = list[list[RawRecord]]
+
+
+class SizedPartitions(list):
+    """Partitions that carry the exact integer byte total of their rows
+    (:func:`~repro.core.record.rows_bytes`), so what is sized once is
+    never sized again.  The total lives exactly as long as the rows."""
+
+    __slots__ = ("total_bytes",)
+
 
 _MASK = 0xFFFFFFFF
 
@@ -105,14 +113,14 @@ def repartition_by_key(
 
     Routes every row exactly as ``hash_key(row, key) % degree`` would,
     keeping origin order within each target, with the per-row calls
-    taken out: one ``itemgetter`` reads the key; a single exact-``int``
-    key gets ``stable_hash``'s arithmetic for a one-tuple inline; any
-    other key goes through ``stable_hash``, memoised per distinct key
-    when the key's value types allow it.
+    taken out: one :func:`~repro.core.reference.key_getter` reads the
+    key; a single exact-``int`` key gets ``stable_hash``'s arithmetic for
+    a one-tuple inline; any other key goes through ``stable_hash``,
+    memoised per distinct key when the key's value types allow it.
     """
     out = empty_partitions(degree)
     append = [part.append for part in out]
-    get = itemgetter(*key) if key else lambda row: ()
+    get = key_getter(key)
     single = len(key) == 1
     memo: dict = {}
     moved = 0

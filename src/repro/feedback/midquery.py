@@ -264,7 +264,7 @@ class MidQueryReoptimizer:
         if cached is not None:
             return cached
         attrs = self.ctx.out_attrs(logical)
-        schema = tuple(sorted(attrs, key=lambda a: (a.name, id(a))))
+        schema = tuple(sorted(attrs, key=lambda a: a.name))
         self._seq += 1
         op = MaterializedSource(
             f"stage:{logical.op.name}:{self._seq}",

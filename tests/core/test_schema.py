@@ -1,5 +1,9 @@
 """Attribute / FieldMap / NewAttributeFactory behavior."""
 
+import copy
+import pickle
+import threading
+
 import pytest
 
 from repro.core import Attribute, FieldMap, SchemaError, attrs, prefixed
@@ -23,6 +27,62 @@ class TestAttribute:
         a, b = prefixed("t", "x", "y")
         assert a.name == "t.x"
         assert b.name == "t.y"
+
+    def test_immutable(self):
+        a = Attribute("x")
+        with pytest.raises(AttributeError):
+            a.name = "y"
+        assert a.name == "x"
+
+
+class TestInterning:
+    """One object per name: equality and hashing are identity, in C."""
+
+    def test_same_name_same_object(self):
+        assert Attribute("intern.same") is Attribute("intern.same")
+        assert attrs("intern.same")[0] is Attribute("intern.same")
+        assert prefixed("intern", "same")[0] is Attribute("intern.same")
+
+    def test_hash_and_equality_are_objects(self):
+        assert Attribute.__hash__ is object.__hash__
+        assert Attribute.__eq__ is object.__eq__
+
+    @pytest.mark.parametrize(
+        "clone",
+        [
+            lambda a: pickle.loads(pickle.dumps(a)),
+            copy.copy,
+            copy.deepcopy,
+            lambda a: copy.deepcopy({a: [a]}),
+        ],
+        ids=["pickle", "copy", "deepcopy", "deepcopy-nested"],
+    )
+    def test_clones_keep_identity(self, clone):
+        a = Attribute("intern.clone")
+        cloned = clone(a)
+        if isinstance(cloned, dict):
+            ((key, [value]),) = cloned.items()
+            assert key is a and value is a
+        else:
+            assert cloned is a
+
+    def test_threads_constructing_one_new_name_get_one_object(self):
+        name = "intern.threads"
+        start = threading.Barrier(8)
+        made = []
+
+        def construct():
+            start.wait()
+            made.append(Attribute(name))
+
+        threads = [threading.Thread(target=construct) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert len(made) == 8
+        assert all(a is made[0] for a in made)
+        assert Attribute(name) is made[0]
 
 
 class TestFieldMap:
