@@ -23,7 +23,7 @@ an :class:`InputRecord` keeps its field map's attribute tuple, and
 :meth:`OutputPositionResolver.attr_for` reads input positions from one
 flat tuple over all input maps.  A view is shared wherever the UDF
 cannot tell: a Match hands the same right-side view to every left row
-that probes its key.
+that probes its key, a Cross to every left row.
 """
 
 from __future__ import annotations

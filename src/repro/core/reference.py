@@ -113,10 +113,11 @@ def apply_cross(op: CrossOp, left: list[RawRecord], right: list[RawRecord]) -> l
     l_map, r_map = op.input_maps
     resolver = op.resolver
     collector = Collector()
+    r_recs = [InputRecord(r, r_map, resolver) for r in right] if left else []
     for l_row in left:
         l_rec = InputRecord(l_row, l_map, resolver)
-        for r_row in right:
-            fn(l_rec, InputRecord(r_row, r_map, resolver), collector)
+        for r_rec in r_recs:
+            fn(l_rec, r_rec, collector)
     return collector._out
 
 

@@ -44,12 +44,12 @@ spill, which is charged per instance; a scan's total rides on its
 not size the rows again), hash routing through
 :func:`~.partition.repartition_by_key` (inlined ``stable_hash``), the scan
 split as list slices, and copy-on-write emits in
-:class:`~repro.core.record.Collector`.  The record path itself runs no
-Python-level call but the UDF's per record or pair: attributes hash in C
+:class:`~repro.core.record.Collector`.  On the record path beside the
+UDF, each step runs once and in C where it can: attributes hash in C
 (they are interned, :class:`~repro.core.schema.Attribute`), keys are
 read by one ``itemgetter`` per keyed input
-(:func:`~repro.core.reference.key_getter`), a Match wraps each
-right-side row once per partition, and each Reduce partition and CoGroup
+(:func:`~repro.core.reference.key_getter`), a Match or Cross wraps
+each right-side row once per partition, and each Reduce partition and CoGroup
 input is grouped once.  Records, their order and every
 ``OpMetrics`` bit of reference plans are frozen in
 ``tests/fixtures/engine/`` and replayed by ``tests/engine/test_golden.py``.

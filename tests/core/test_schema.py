@@ -2,11 +2,14 @@
 
 import copy
 import pickle
+import sys
 import threading
+import time
 
 import pytest
 
 from repro.core import Attribute, FieldMap, SchemaError, attrs, prefixed
+from repro.core import schema
 from repro.core.schema import GlobalRecord, NewAttributeFactory
 
 
@@ -66,23 +69,42 @@ class TestInterning:
         else:
             assert cloned is a
 
-    def test_threads_constructing_one_new_name_get_one_object(self):
-        name = "intern.threads"
-        start = threading.Barrier(8)
-        made = []
+    def test_threads_constructing_one_new_name_get_one_object(self, monkeypatch):
+        """8 threads (more than cores) race on each of 20 new names.  The
+        intern table's lookup sleeps, so every thread misses before any
+        inserts: only an atomic insert hands all of them one object."""
+
+        class SlowLookup(dict):
+            def get(self, key, default=None):
+                found = dict.get(self, key, default)
+                time.sleep(0.001)
+                return found
+
+        monkeypatch.setattr(schema, "_INTERNED", SlowLookup())
+        rounds = 20
+        start = threading.Barrier(8, timeout=10)
+        made = [[] for _ in range(rounds)]
 
         def construct():
-            start.wait()
-            made.append(Attribute(name))
+            for i in range(rounds):
+                start.wait()
+                made[i].append(Attribute(f"intern.threads.{i}"))
 
-        threads = [threading.Thread(target=construct) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(made) == 8
-        assert all(a is made[0] for a in made)
-        assert Attribute(name) is made[0]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=construct) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for i, objects in enumerate(made):
+            assert len(objects) == 8
+            assert all(a is objects[0] for a in objects)
+            assert Attribute(f"intern.threads.{i}") is objects[0]
 
 
 class TestFieldMap:
