@@ -60,7 +60,6 @@ def group_by(rows: list[RawRecord], key_attrs: tuple[Attribute, ...]) -> dict[An
     :func:`key_getter` reads them."""
     get = key_getter(key_attrs)
     groups: dict[Any, list[RawRecord]] = {}
-    row = None
     try:
         for row in rows:
             key = get(row)
@@ -131,7 +130,6 @@ def apply_match(op: MatchOp, left: list[RawRecord], right: list[RawRecord]) -> l
     resolver = op.resolver
     collector = Collector()
     wrapped: dict[Any, list[InputRecord]] = {}
-    l_row = None
     try:
         for l_row in left:
             key = get_key(l_row)

@@ -21,8 +21,9 @@ Partitions = list[list[RawRecord]]
 
 class SizedPartitions(list):
     """Partitions that carry the exact integer byte total of their rows
-    (:func:`~repro.core.record.rows_bytes`), so what is sized once is
-    never sized again.  The total lives exactly as long as the rows."""
+    (:func:`~repro.core.record.rows_bytes`): a scan's output, so that a
+    ship right on the scan reuses the total instead of sizing the rows
+    again.  The total lives exactly as long as the partitions."""
 
     __slots__ = ("total_bytes",)
 

@@ -128,7 +128,7 @@ def test_layout_covers_the_spaces_attributes():
 
 
 @pytest.mark.parametrize("seed", ["0", "1", "3141592653"])
-def test_eager_ranking_and_execution_are_layout_independent(seed):
+def test_eager_ranking_is_hash_seed_independent(seed):
     got = run_under_seed(seed, PLAN, attribute_names(), seed)
     want_execution = dict(frozen_execution(GOLDEN)["executions"][0])
     assert want_execution.pop("which") == "first"
@@ -137,7 +137,7 @@ def test_eager_ranking_and_execution_are_layout_independent(seed):
 
 
 @pytest.mark.parametrize("name", SPACE_NAMES)
-def test_guided_prefix_is_layout_independent(name):
+def test_guided_prefix_is_hash_seed_independent(name):
     ranking = run_under_seed(
         GUIDED_SEED, GUIDED, attribute_names(), GUIDED_SEED, name, str(GUIDED_TOP_K)
     )
