@@ -61,13 +61,8 @@ class Attribute:
         raise AttributeError(f"Attribute {self.name!r} is immutable")
 
     def __reduce__(self):
+        # pickle, copy and deepcopy all rebuild through the intern table
         return (Attribute, (self.name,))
-
-    def __copy__(self) -> "Attribute":
-        return self
-
-    def __deepcopy__(self, memo) -> "Attribute":
-        return self
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Attr({self.name})"
